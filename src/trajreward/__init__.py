@@ -5,9 +5,9 @@ from .distance import (
     DistanceMatrix,
     NormalizedCurve,
     batch_distance_matrices,
-    build_distance_matrix,
     normalized_curve,
-    state_answer_distance,
+    plan_requests,
+    score_plan,
 )
 from .rewards import (
     CuriosityConfig,
@@ -23,7 +23,6 @@ from .rewards import (
     volatility,
 )
 from .scoring import (
-    CacheKey,
     FileCacheScorer,
     HttpScorer,
     ScoreRequest,

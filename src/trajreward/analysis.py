@@ -147,7 +147,8 @@ def token_entropy(tokens: Sequence[str]) -> float:
         return 0.0
     counts = Counter(tokens)
     total = len(tokens)
-    return -sum((c / total) * math.log(c / total) for c in counts.values())
+    # fsum is correctly rounded, so the result does not depend on token order
+    return -math.fsum((c / total) * math.log(c / total) for c in counts.values())
 
 
 def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]], max_n: int = 4) -> float:

@@ -21,10 +21,9 @@ from . import analysis
 from .config import RunConfig, apply_overrides, load_config
 from .distance import (
     batch_distance_matrices,
-    candidate_order,
-    matrix_requests,
     normalized_curve,
     read_matrices,
+    score_plan,
     write_matrices,
 )
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .probes import probe_reward_perturbations
 from .rewards import TrajectoryFeatures, assemble_rewards, curiosity_reward
-from .scoring import CacheKey, FileCacheScorer, HttpScorer, ScoreRequest, ToyModel, score_batch
+from .scoring import FileCacheScorer, HttpScorer, ToyModel
 from .simulate import (
     ConvergenceInstance,
     FlowConfig,
@@ -51,12 +50,7 @@ from .simulate import (
     simulate_convergence,
     verify_elbo,
 )
-from .trajectory import (
-    canonicalize_answer,
-    group_by_answer,
-    load_prompt_batches,
-    read_trajectory_records,
-)
+from .trajectory import load_prompt_batches, read_trajectory_records
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -197,32 +191,16 @@ def cmd_segment(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _batch_requests(batch, cfg: RunConfig):
-    """Every request a reward pass will need: matrix cells plus steps."""
-    groups = group_by_answer(batch)
-    reqs = []
-    for traj in batch.trajectories:
-        answers = candidate_order(groups, canonicalize_answer(traj.final_answer))
-        reqs.extend(matrix_requests(traj, answers))
-        if cfg.reward.curiosity:
-            for i in range(traj.num_steps):
-                if traj.steps[i].text.strip():
-                    key = CacheKey(traj.prompt_id, traj.traj_id, i, "step", str(i))
-                    reqs.append(ScoreRequest(traj.state_prefix(i), traj.steps[i].text, key))
-    return reqs
-
-
 def cmd_score(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     source = _build_scorer(cfg)
     cache = FileCacheScorer()
     n = 0
     for batch in _load_batches(cfg):
-        reqs = _batch_requests(batch, cfg)
-        responses = score_batch(reqs, source, cfg.workers)
-        for req, resp in zip(reqs, responses):
-            cache.record(req.key, resp)
-            n += 1
+        scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
+        for req, resp in scores.items():
+            cache.record(req, resp)
+        n += len(scores)
     cache.dump(out / "cache.jsonl")
     print(f"cached {n} scores ({len(cache)} unique keys) -> {out / 'cache.jsonl'}")
     return EXIT_OK
@@ -238,11 +216,12 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     failures = []
     for batch in batches:
         try:
-            matrices = batch_distance_matrices(batch, source, cfg.workers)
+            scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
+            matrices = batch_distance_matrices(batch, scores)
             curiosities = None
             if cfg.reward.curiosity:
                 curiosities = {
-                    t.traj_id: curiosity_reward(t, source, cfg.reward.curiosity_config())
+                    t.traj_id: curiosity_reward(t, scores, cfg.reward.curiosity_config())
                     for t in batch.trajectories
                 }
             report = assemble_rewards(
@@ -301,6 +280,8 @@ def cmd_reward(cfg: RunConfig, args) -> int:
             indent=2,
         )
         fh.write("\n")
+    if isinstance(source, HttpScorer) and cfg.scorer.cache_path:
+        source.cache.dump(cfg.scorer.cache_path)
     if failures:
         _write_jsonl(out / "errors.jsonl", failures)
         print(f"{len(failures)} prompt batches failed; see {out / 'errors.jsonl'}", file=sys.stderr)

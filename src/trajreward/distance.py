@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import EmptyAnswer, SingleAnswerBatch
-from .scoring import CacheKey, LogProbSource, ScoreRequest, score_batch
+from .scoring import LogProbSource, ScoreRequest, ScoreResponse, score_batch
 from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer
 
 
@@ -50,56 +51,9 @@ class NormalizedCurve:
     correct: bool | None = None
 
 
-def state_answer_distance(
-    state_prefix: str,
-    answer: str,
-    source: LogProbSource,
-    key: CacheKey | None = None,
-) -> float:
-    """Negative mean per-token log-probability of ``answer`` after the state."""
-    canonical = canonicalize_answer(answer)
-    if not canonical:
-        raise EmptyAnswer("candidate answer canonicalizes to the empty string")
-    response = source.score(ScoreRequest(state_prefix, canonical, key))
-    return distance_from_logprobs(response.token_logprobs)
-
-
 def distance_from_logprobs(token_logprobs) -> float:
+    """Negative mean per-token log-probability of a scored answer."""
     return -sum(token_logprobs) / len(token_logprobs)
-
-
-def matrix_requests(traj: Trajectory, candidate_answers) -> list[ScoreRequest]:
-    """All T x K score requests for one trajectory, row-major order."""
-    answers = [canonicalize_answer(a) for a in candidate_answers]
-    if any(not a for a in answers):
-        raise EmptyAnswer(f"empty candidate answer for traj {traj.traj_id!r}")
-    reqs = []
-    for i in range(traj.num_steps):
-        prefix = traj.state_prefix(i)
-        for answer in answers:
-            key = CacheKey(traj.prompt_id, traj.traj_id, i, "answer", answer)
-            reqs.append(ScoreRequest(prefix, answer, key))
-    return reqs
-
-
-def build_distance_matrix(
-    traj: Trajectory,
-    candidate_answers,
-    source: LogProbSource,
-    parallelism: int = 1,
-) -> DistanceMatrix:
-    """Distance matrix of ``traj`` against the candidates (own answer first)."""
-    answers = tuple(canonicalize_answer(a) for a in candidate_answers)
-    if answers and answers[0] != canonicalize_answer(traj.final_answer):
-        raise ValueError("candidate 0 must be the trajectory's own answer")
-    reqs = matrix_requests(traj, answers)
-    responses = score_batch(reqs, source, parallelism)
-    values = np.array(
-        [distance_from_logprobs(r.token_logprobs) for r in responses]
-    ).reshape(traj.num_steps, len(answers))
-    if (values < 0).any():
-        raise AssertionError("negative distance from a scorer response")
-    return DistanceMatrix(traj.traj_id, values, answers, traj.correct)
 
 
 def candidate_order(groups, own_canonical: str) -> list[str]:
@@ -107,31 +61,63 @@ def candidate_order(groups, own_canonical: str) -> list[str]:
     return [own_canonical] + [g.canonical_answer for g in groups if g.canonical_answer != own_canonical]
 
 
+def _candidates(batch: PromptBatch) -> list[tuple[Trajectory, tuple[str, ...]]]:
+    groups = group_by_answer(batch)
+    return [
+        (traj, tuple(candidate_order(groups, canonicalize_answer(traj.final_answer))))
+        for traj in batch.trajectories
+    ]
+
+
+def plan_requests(batch: PromptBatch, steps: bool) -> list[ScoreRequest]:
+    """Every distinct score request a prompt batch needs, in first-use order.
+
+    First the matrix cells (each state of each trajectory against each of
+    its candidate answers, row-major), then, with ``steps``, each
+    non-blank reasoning step continued from the state before it.
+    Requests with equal text, such as the bare-prompt cells shared by
+    every trajectory, appear once.
+    """
+    reqs: dict[ScoreRequest, None] = {}
+    for traj, answers in _candidates(batch):
+        if any(not a for a in answers):
+            raise EmptyAnswer(f"empty candidate answer for traj {traj.traj_id!r}")
+        for i in range(traj.num_steps):
+            prefix = traj.state_prefix(i)
+            reqs.update((ScoreRequest(prefix, answer), None) for answer in answers)
+    if steps:
+        for traj in batch.trajectories:
+            for i, step in enumerate(traj.steps):
+                if step.text.strip():
+                    reqs[ScoreRequest(traj.state_prefix(i), step.text)] = None
+    return list(reqs)
+
+
+def score_plan(
+    batch: PromptBatch, source: LogProbSource, parallelism: int = 1, steps: bool = False
+) -> dict[ScoreRequest, ScoreResponse]:
+    """Score a batch's planned requests once; the mapping every consumer reads.
+
+    The result is identical for any worker count.
+    """
+    reqs = plan_requests(batch, steps)
+    return dict(zip(reqs, score_batch(reqs, source, parallelism)))
+
+
 def batch_distance_matrices(
-    batch: PromptBatch, source: LogProbSource, parallelism: int = 1
+    batch: PromptBatch, scores: Mapping[ScoreRequest, ScoreResponse]
 ) -> dict[str, DistanceMatrix]:
     """Distance matrices for every trajectory of a prompt batch.
 
-    All cells of all matrices are scored through one batched call, so the
-    result is identical for any worker count.
+    ``scores`` holds the batch's scored plan (see ``score_plan``).
     """
-    groups = group_by_answer(batch)
-    per_traj: list[tuple[Trajectory, tuple[str, ...], list[ScoreRequest]]] = []
-    all_reqs: list[ScoreRequest] = []
-    for traj in batch.trajectories:
-        answers = tuple(candidate_order(groups, canonicalize_answer(traj.final_answer)))
-        reqs = matrix_requests(traj, answers)
-        per_traj.append((traj, answers, reqs))
-        all_reqs.extend(reqs)
-    responses = score_batch(all_reqs, source, parallelism)
     matrices: dict[str, DistanceMatrix] = {}
-    pos = 0
-    for traj, answers, reqs in per_traj:
-        chunk = responses[pos : pos + len(reqs)]
-        pos += len(reqs)
-        values = np.array(
-            [distance_from_logprobs(r.token_logprobs) for r in chunk]
-        ).reshape(traj.num_steps, len(answers))
+    for traj, answers in _candidates(batch):
+        rows = [
+            [scores[ScoreRequest(traj.state_prefix(i), a)].token_logprobs for a in answers]
+            for i in range(traj.num_steps)
+        ]
+        values = np.array([[distance_from_logprobs(lp) for lp in row] for row in rows])
         matrices[traj.traj_id] = DistanceMatrix(traj.traj_id, values, answers, traj.correct)
     return matrices
 

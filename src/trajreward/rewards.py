@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .distance import DistanceMatrix
 from .errors import EmptyGroup, MissingMatrix
-from .scoring import CacheKey, LogProbSource, ScoreRequest
+from .scoring import ScoreRequest, ScoreResponse
 from .trajectory import PromptBatch, Trajectory, group_by_answer
 
 ADVANTAGE_EPS = 1e-8
@@ -183,28 +183,24 @@ def _kl_to_uniform(token_logprobs) -> float:
 
 def curiosity_reward(
     traj: Trajectory,
-    source: LogProbSource,
+    scores: Mapping[ScoreRequest, ScoreResponse],
     config: CuriosityConfig = CuriosityConfig(),
-    prompt_token_count: int | None = None,
 ) -> float:
     """Mean step-transition curiosity over a trajectory.
 
     Each reasoning step's tokens are scored as the continuation of the
-    preceding state. Steps with no tokens are skipped. With the "prefix"
-    denominator the state length counts the prompt's whitespace tokens
-    plus all scored step tokens so far (pass ``prompt_token_count`` to
-    override the whitespace count).
+    preceding state; ``scores`` is the batch's scored plan (see
+    ``distance.score_plan`` with steps on). Steps with no tokens are
+    skipped. With the "prefix" denominator the state length counts the
+    prompt's whitespace tokens plus all scored step tokens so far.
     """
     contributions = []
-    prefix_tokens = (
-        prompt_token_count if prompt_token_count is not None else len(traj.prompt_text.split())
-    )
+    prefix_tokens = len(traj.prompt_text.split())
     for i in range(traj.num_steps):
         step_text = traj.steps[i].text
         if not step_text.strip():
             continue
-        key = CacheKey(traj.prompt_id, traj.traj_id, i, "step", str(i))
-        response = source.score(ScoreRequest(traj.state_prefix(i), step_text, key))
+        response = scores[ScoreRequest(traj.state_prefix(i), step_text)]
         prefix_tokens += response.token_count
         denom = prefix_tokens if config.denominator == "prefix" else None
         contributions.append(_step_term(response.token_logprobs, config.sign, denom))

@@ -8,17 +8,21 @@ are recorded so reruns are deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
+import select
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import CacheMiss, MalformedResponse, ServiceUnavailable
 
@@ -27,31 +31,15 @@ SCORER_URL_ENV = "TRAJREWARD_SCORER_URL"
 
 
 @dataclass(frozen=True)
-class CacheKey:
-    """Stable address of one scored (state, continuation) pair.
-
-    ``kind`` is "answer" for candidate-answer continuations (keyed by the
-    canonical answer text) and "step" for reasoning-step continuations
-    (keyed by the step index).
-    """
-
-    prompt_id: str
-    traj_id: str
-    state_index: int
-    kind: str
-    continuation_id: str
-
-    def as_tuple(self) -> tuple:
-        return (self.prompt_id, self.traj_id, self.state_index, self.kind, self.continuation_id)
-
-
-@dataclass(frozen=True)
 class ScoreRequest:
-    """A (prefix, continuation) pair to score; continuation is non-empty."""
+    """A (prefix, continuation) pair to score; continuation is non-empty.
+
+    Requests compare and hash by their text, so equal text is scored once
+    and shares one cache entry whichever prompt or trajectory asked for it.
+    """
 
     prefix: str
     continuation: str
-    key: CacheKey | None = None
 
     def __post_init__(self):
         if not self.continuation:
@@ -60,23 +48,21 @@ class ScoreRequest:
 
 @dataclass(frozen=True)
 class ScoreResponse:
-    """One log-probability (<= 0) per continuation token."""
+    """One finite log-probability (<= 0) per continuation token."""
 
     token_logprobs: tuple[float, ...]
 
     def __post_init__(self):
         if not self.token_logprobs:
             raise MalformedResponse("scorer returned zero token logprobs")
+        if not all(math.isfinite(lp) for lp in self.token_logprobs):
+            raise MalformedResponse("scorer returned a non-finite log-probability")
         if any(lp > 0.0 for lp in self.token_logprobs):
             raise MalformedResponse("scorer returned a positive log-probability")
 
     @property
     def token_count(self) -> int:
         return len(self.token_logprobs)
-
-    @property
-    def total_logprob(self) -> float:
-        return sum(self.token_logprobs)
 
 
 class LogProbSource(Protocol):
@@ -215,68 +201,75 @@ class ToyModel:
 class FileCacheScorer:
     """Scorer backed by a line-delimited JSON file of precomputed logprobs.
 
-    Concurrent readers are safe; writes are serialized by a lock.
+    The cache is content-addressed: each line is ``{"key", "token_logprobs"}``
+    with ``key`` a digest of the request's exact (prefix, continuation)
+    text. Concurrent readers are safe; writes are serialized by a lock.
     """
 
-    def __init__(self, entries: dict[tuple, tuple[float, ...]] | None = None):
+    def __init__(self, entries: dict[str, tuple[float, ...]] | None = None):
         self._entries = dict(entries or {})
         self._lock = threading.Lock()
 
     @classmethod
     def load(cls, path) -> "FileCacheScorer":
+        """Read a cache file; a line that is not a cache entry is a ValueError."""
         entries = {}
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                key = CacheKey(
-                    rec["prompt_id"],
-                    rec["traj_id"],
-                    int(rec["state_index"]),
-                    rec["kind"],
-                    rec["continuation_id"],
-                )
-                entries[key.as_tuple()] = tuple(float(x) for x in rec["token_logprobs"])
+                try:
+                    rec = json.loads(line)
+                    key = rec["key"]
+                    logprobs = tuple(float(x) for x in rec["token_logprobs"])
+                    if not isinstance(key, str):
+                        raise TypeError("key is not a string")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: not a cache entry "
+                        f'{{"key", "token_logprobs"}}: {line[:80]}'
+                    ) from exc
+                entries[key] = logprobs
         return cls(entries)
 
-    def record(self, key: CacheKey, response: ScoreResponse) -> None:
+    def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:
-            self._entries[key.as_tuple()] = response.token_logprobs
+            self._entries[_content_key(request)] = response.token_logprobs
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        key = request.key if request.key is not None else text_key(request)
-        logprobs = self._entries.get(key.as_tuple())
+        key = _content_key(request)
+        logprobs = self._entries.get(key)
         if logprobs is None:
-            raise CacheMiss(f"no cached score for {key}")
+            raise CacheMiss(f"no cached score (key {key}) for {request.continuation[:40]!r}")
         return ScoreResponse(logprobs)
 
     def dump(self, path) -> None:
+        """Write every entry sorted by key, replacing ``path`` atomically."""
         with self._lock:
             items = sorted(self._entries.items())
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, logprobs in items:
-                rec = {
-                    "prompt_id": key[0],
-                    "traj_id": key[1],
-                    "state_index": key[2],
-                    "kind": key[3],
-                    "continuation_id": key[4],
-                    "token_logprobs": list(logprobs),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for key, logprobs in items:
+                    rec = {"key": key, "token_logprobs": list(logprobs)}
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def text_key(request: ScoreRequest) -> CacheKey:
-    """Content-addressed key for requests that carry no explicit key."""
-    digest = hashlib.blake2b(
-        (request.prefix + "\x1f" + request.continuation).encode("utf-8"), digest_size=16
-    ).hexdigest()
-    return CacheKey("", "", -1, "text", digest)
+def _content_key(request: ScoreRequest) -> str:
+    """Digest of the exact request text; JSON quoting keeps the two parts apart."""
+    text = json.dumps([request.prefix, request.continuation])
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class HttpScorer:
@@ -284,7 +277,9 @@ class HttpScorer:
 
     Transient failures are retried with exponential backoff (3 attempts
     total). Every reply is recorded into ``cache`` so a rerun against the
-    same cache never re-contacts the service.
+    same cache never re-contacts the service. Idle keep-alive connections
+    wait in a shared pool, so it never holds more connections than there
+    were concurrent callers.
     """
 
     def __init__(
@@ -298,49 +293,84 @@ class HttpScorer:
         url = base_url or os.environ.get(SCORER_URL_ENV)
         if not url:
             raise ValueError(f"no scorer URL: pass base_url or set {SCORER_URL_ENV}")
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"scorer URL must look like http://host:port, got {url!r}")
         self.base_url = url.rstrip("/")
         self.timeout = timeout
         self.attempts = attempts
         self.backoff = backoff
         self.cache = cache if cache is not None else FileCacheScorer()
-        self._session = requests.Session()
+        self._connection_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        self._netloc = parts.netloc
+        self._path = parts.path.rstrip("/") + "/v1/score"
+        self._idle: list[HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        key = request.key if request.key is not None else text_key(request)
         try:
-            return self.cache.score(ScoreRequest(request.prefix, request.continuation, key))
+            return self.cache.score(request)
         except CacheMiss:
             pass
         payload = {"prefix": request.prefix, "continuation": request.continuation}
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.attempts):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                resp = self._session.post(
-                    self.base_url + "/v1/score", json=payload, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = ServiceUnavailable(f"HTTP {resp.status_code}")
+            if status >= 500:
+                last_error = ServiceUnavailable(f"HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise MalformedResponse(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            response = _parse_score_payload(resp)
-            self.cache.record(key, response)
+            if status != 200:
+                raise MalformedResponse(f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}")
+            response = _parse_score_payload(data)
+            self.cache.record(request, response)
             return response
         raise ServiceUnavailable(
             f"scoring service failed after {self.attempts} attempts: {last_error}"
         )
 
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on an idle pooled connection, or on a new one."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection_class(self._netloc, timeout=self.timeout)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0.0)[0]:
+            # An idle keep-alive socket with something to read was closed by
+            # the server; closing it here makes request() open a fresh one.
+            conn.close()
+        try:
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            data = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return reply.status, data
 
-def _parse_score_payload(resp) -> ScoreResponse:
+    def close(self) -> None:
+        """Close the idle connections; a later request opens new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _parse_score_payload(data: bytes) -> ScoreResponse:
     try:
-        body = resp.json()
+        body = json.loads(data)
     except ValueError as exc:
         raise MalformedResponse(f"non-JSON scorer reply: {exc}") from exc
+    if not isinstance(body, dict):
+        raise MalformedResponse(f"scorer reply is a JSON {type(body).__name__}, not an object")
     logprobs = body.get("token_logprobs")
     if not isinstance(logprobs, list) or not logprobs:
         raise MalformedResponse("scorer reply missing non-empty token_logprobs")
@@ -348,8 +378,8 @@ def _parse_score_payload(resp) -> ScoreResponse:
         values = tuple(float(x) for x in logprobs)
     except (TypeError, ValueError) as exc:
         raise MalformedResponse(f"non-numeric token_logprobs: {exc}") from exc
-    declared = body.get("token_count")
-    if declared is not None and int(declared) != len(values):
+    declared = body.get("token_count", len(values))
+    if declared != len(values):
         raise MalformedResponse(
             f"token count mismatch: declared {declared}, got {len(values)}"
         )

@@ -16,7 +16,7 @@ import pytest
 from reference_loop import group_rewards_reference
 
 from trajreward.analysis import curve_aggregate
-from trajreward.distance import batch_distance_matrices, normalized_curve
+from trajreward.distance import batch_distance_matrices, normalized_curve, score_plan
 from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.probes import probe_reward_perturbations
 from trajreward.rewards import (
@@ -271,7 +271,7 @@ def test_criterion_8_qualitative_feature_reproduction():
     spec = PlantedSpec(seed=31, n_correct=6, n_incorrect=6, num_steps=8)
     batch = planted_batch(spec)
     model = planted_model(spec)
-    matrices = batch_distance_matrices(batch, model)
+    matrices = batch_distance_matrices(batch, score_plan(batch, model))
 
     by_label = {True: [], False: []}
     curves = []

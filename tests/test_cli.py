@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import yaml
@@ -68,8 +71,10 @@ class TestExitCodes:
         # second prompt's scores are missing from the cache built for the first
         assert main(["score", "--config", str(cfg_path), "--out", str(base / "cache")]) == 0
         records = read_lines(cfg["input"])
+        # the cache is content-addressed, so p1 needs text the cache has not seen
         extra = [
-            dict(rec, prompt_id="p1", traj_id=f"x{i}") for i, rec in enumerate(records[:3])
+            dict(rec, prompt_id="p1", traj_id=f"x{i}", prompt_text="another question\n\n")
+            for i, rec in enumerate(records[:3])
         ]
         two_prompts = base / "two_prompts.jsonl"
         write_jsonl(two_prompts, records + extra)
@@ -83,6 +88,41 @@ class TestExitCodes:
         assert {r["prompt_id"] for r in rewarded} == {"p0"}
         failures = read_lines(out / "errors.jsonl")
         assert [f["prompt_id"] for f in failures] == ["p1"]
+
+    def test_identical_content_served_from_cache(self, planted_setup, tmp_path):
+        cfg_path, base = planted_setup
+        cfg = yaml.safe_load(cfg_path.read_text())
+        assert main(["score", "--config", str(cfg_path), "--out", str(base / "cache")]) == 0
+        records = read_lines(cfg["input"])
+        # same prompt and responses under new ids: every request is already cached
+        extra = [
+            dict(rec, prompt_id="p1", traj_id=f"x{i}") for i, rec in enumerate(records[:3])
+        ]
+        two_prompts = base / "two_prompts.jsonl"
+        write_jsonl(two_prompts, records + extra)
+        cfg["input"] = str(two_prompts)
+        cfg["scorer"] = {"source": "file", "cache_path": str(base / "cache" / "cache.jsonl")}
+        cfg_file = base / "same_content.yaml"
+        cfg_file.write_text(yaml.safe_dump(cfg))
+        out = base / "same_content_out"
+        assert main(["reward", "--config", str(cfg_file), "--out", str(out)]) == 0
+        rewarded = read_lines(out / "rewards.jsonl")
+        assert [r["prompt_id"] for r in rewarded] == ["p0"] * len(records) + ["p1"] * 3
+
+    @pytest.mark.parametrize("line", ["[1]", '{"key": "k"}'])
+    def test_malformed_cache_line_is_input_error(self, planted_setup, capsys, line):
+        cfg_path, base = planted_setup
+        cfg = yaml.safe_load(cfg_path.read_text())
+        cache = base / "bad_cache.jsonl"
+        cache.write_text(line + "\n")
+        cfg["scorer"] = {"source": "file", "cache_path": str(cache)}
+        cfg_file = base / "bad_cache.yaml"
+        cfg_file.write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert main(["reward", "--config", str(cfg_file), "--out", str(base / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{cache}:1:" in err
 
     def test_bound_violation_exit(self, tmp_path):
         # a horizon too short for the collapse target is a failed assertion
@@ -103,6 +143,95 @@ class TestExitCodes:
         cfg_path = tmp_path / "sim.yaml"
         cfg_path.write_text(yaml.safe_dump({"simulate": {"preset": "mystery"}}))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+class _CountingScoreHandler(BaseHTTPRequestHandler):
+    """Deterministic scores per (prefix, continuation); prompts starting
+    with REJECT get HTTP 400. Requests are recorded in arrival order."""
+
+    received = []
+
+    def do_POST(self):
+        req = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        type(self).received.append((req["prefix"], req["continuation"]))
+        if req["prefix"].startswith("REJECT"):
+            status, body = 400, {"error": "rejected"}
+        else:
+            text = json.dumps([req["prefix"], req["continuation"]]).encode()
+            digest = hashlib.blake2b(text, digest_size=8).digest()
+            n = len(req["continuation"].split())
+            status, body = 200, {"token_logprobs": [-(0.1 + digest[i % 8] / 64.0) for i in range(n)]}
+        payload = json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def scoring_service():
+    handler = type("Handler", (_CountingScoreHandler,), {"received": []})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", handler
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class TestHttpCachePersistence:
+    def http_config(self, planted_setup, url, records=None):
+        cfg_path, base = planted_setup
+        cfg = yaml.safe_load(cfg_path.read_text())
+        if records is not None:
+            cfg["input"] = str(base / "http_batch.jsonl")
+            write_jsonl(cfg["input"], records)
+        cfg["workers"] = 2
+        cfg["scorer"] = {
+            "source": "http",
+            "base_url": url,
+            "cache_path": str(base / "http_cache.jsonl"),
+            "backoff": 0.0,
+        }
+        cfg_file = base / "http.yaml"
+        cfg_file.write_text(yaml.safe_dump(cfg))
+        return cfg_file, base
+
+    def test_rerun_on_written_cache_sends_nothing(self, planted_setup, scoring_service):
+        url, handler = scoring_service
+        cfg_file, base = self.http_config(planted_setup, url)
+        assert main(["reward", "--config", str(cfg_file), "--out", str(base / "first")]) == 0
+        assert handler.received
+        assert len(handler.received) == len(set(handler.received))  # each content once
+        assert (base / "http_cache.jsonl").exists()
+        sent = len(handler.received)
+        assert main(["reward", "--config", str(cfg_file), "--out", str(base / "replay")]) == 0
+        assert len(handler.received) == sent
+        for name in ("rewards.jsonl", "matrices.jsonl", "summary.json"):
+            assert (base / "first" / name).read_bytes() == (base / "replay" / name).read_bytes()
+
+    def test_cache_written_when_a_batch_fails(self, planted_setup, scoring_service):
+        url, handler = scoring_service
+        records = read_lines(planted_setup[0].parent / "batch.jsonl")
+        extra = [
+            dict(rec, prompt_id="p1", traj_id=f"x{i}", prompt_text="REJECT q\n\n")
+            for i, rec in enumerate(records[:3])
+        ]
+        cfg_file, base = self.http_config(planted_setup, url, records + extra)
+        assert main(["reward", "--config", str(cfg_file), "--out", str(base / "first")]) == 3
+        assert [f["prompt_id"] for f in read_lines(base / "first" / "errors.jsonl")] == ["p1"]
+        sent = len(handler.received)
+        assert main(["reward", "--config", str(cfg_file), "--out", str(base / "replay")]) == 3
+        # only the failed prompt goes back to the service
+        assert handler.received[sent:]
+        assert all(prefix.startswith("REJECT") for prefix, _ in handler.received[sent:])
+        first = (base / "first" / "rewards.jsonl").read_bytes()
+        assert first == (base / "replay" / "rewards.jsonl").read_bytes()
 
 
 class TestSegmentCommand:

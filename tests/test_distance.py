@@ -6,16 +6,17 @@ import pytest
 from trajreward.distance import (
     DistanceMatrix,
     batch_distance_matrices,
-    build_distance_matrix,
+    distance_from_logprobs,
     normalized_curve,
+    plan_requests,
     read_matrices,
-    state_answer_distance,
+    score_plan,
     write_matrices,
 )
 from trajreward.errors import EmptyAnswer, SingleAnswerBatch
 from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import consistency
-from trajreward.scoring import ScoreResponse, ToyModel
+from trajreward.scoring import ScoreRequest, ScoreResponse, ToyModel
 from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
 VOCAB = ["a", "b", "c", "d", "7", "9"]
@@ -37,23 +38,49 @@ def traj_of(steps, answer, traj_id="t0", prompt="q\n\n"):
     return segment_trajectory(text, RULES, traj_id=traj_id, prompt_text=prompt, prompt_id="p")
 
 
+def batch_of(*trajs):
+    return PromptBatch("p", "q\n\n", list(trajs))
+
+
+def matrices_of(batch, source):
+    return batch_distance_matrices(batch, score_plan(batch, source))
+
+
+def matrix_of(traj, answers, source):
+    """Matrix of ``traj`` in a batch whose rivals give the other answers."""
+    rivals = [traj_of(["r"], a, traj_id=f"r{k}") for k, a in enumerate(answers[1:])]
+    m = matrices_of(batch_of(traj, *rivals), source)[traj.traj_id]
+    assert m.answer_order == tuple(answers)
+    return m
+
+
 class TestStateAnswerDistance:
     def test_certain_tokens_give_zero(self):
-        scorer = FixedScorer({"7": [0.0, 0.0]})
-        assert state_answer_distance("prefix", "7", scorer) == 0.0
+        traj = traj_of(["a b"], "7")
+        m = matrix_of(traj, ["7"], FixedScorer({"7": [0.0, 0.0]}))
+        assert (m.values == 0.0).all()
+        assert distance_from_logprobs([0.0, 0.0]) == 0.0
 
     def test_hand_mean_of_two_tokens(self):
-        scorer = FixedScorer({"7": [-1.0, -3.0]})
-        assert state_answer_distance("prefix", "7", scorer) == 2.0
+        traj = traj_of(["a b"], "7")
+        m = matrix_of(traj, ["7"], FixedScorer({"7": [-1.0, -3.0]}))
+        assert (m.values == 2.0).all()
+        assert distance_from_logprobs([-1.0, -3.0]) == 2.0
 
     def test_uniform_vocab_three_token_answer(self):
         model = ToyModel.uniform(VOCAB, order=2)
-        d = state_answer_distance("a b", "c d a", model)
-        assert d == pytest.approx(math.log(len(VOCAB)), abs=1e-12)
+        traj = traj_of(["a b"], "c d a")
+        m = matrix_of(traj, ["c d a"], model)
+        assert m.values.shape == (1, 1)
+        assert m.values[0, 0] == pytest.approx(math.log(len(VOCAB)), abs=1e-12)
 
     def test_empty_answer_rejected(self):
+        # "$ $" canonicalizes to the empty string
+        batch = batch_of(traj_of(["a b"], "$ $"), traj_of(["c"], "7", traj_id="t1"))
         with pytest.raises(EmptyAnswer):
-            state_answer_distance("prefix", "  ", FixedScorer({}))
+            plan_requests(batch, steps=False)
+        with pytest.raises(EmptyAnswer):
+            score_plan(batch, FixedScorer({}))
 
 
 class TestDistanceMatrix:
@@ -61,17 +88,17 @@ class TestDistanceMatrix:
         traj = traj_of(["only step"], "7")
         # fallback answer handling keeps T = 1
         model = ToyModel(VOCAB, seed=0)
-        m = build_distance_matrix(traj, ["7"], model)
+        m = matrix_of(traj, ["7"], model)
         assert m.values.shape == (1, 1)
 
     def test_entries_match_per_cell_recompute(self):
         traj = traj_of(["a b", "c d", "b a"], "7")
         model = ToyModel(VOCAB, seed=11)
-        m = build_distance_matrix(traj, ["7", "9"], model)
+        m = matrix_of(traj, ["7", "9"], model)
         for i in range(m.num_states):
             for k, answer in enumerate(m.answer_order):
-                expected = state_answer_distance(traj.state_prefix(i), answer, model)
-                assert m.values[i, k] == expected
+                response = model.score(ScoreRequest(traj.state_prefix(i), answer))
+                assert m.values[i, k] == distance_from_logprobs(response.token_logprobs)
 
     def test_batch_shapes(self):
         batch = PromptBatch("p", "q\n\n")
@@ -80,21 +107,27 @@ class TestDistanceMatrix:
             steps = [f"s{j}{i} tok" for i in range(T)]
             batch.trajectories.append(traj_of(steps, "7" if j % 2 else "9", traj_id=f"t{j}"))
         model = ToyModel(VOCAB, seed=4)
-        mats = batch_distance_matrices(batch, model)
+        mats = matrices_of(batch, model)
         assert len(mats) == 4
         for j, T in enumerate(lengths):
             assert mats[f"t{j}"].values.shape == (T, 2)
             assert mats[f"t{j}"].answer_order[0] == ("7" if j % 2 else "9")
 
     def test_own_answer_must_come_first(self):
-        traj = traj_of(["a"], "7")
-        with pytest.raises(ValueError):
-            build_distance_matrix(traj, ["9", "7"], ToyModel(VOCAB, seed=0))
+        # the rival group comes first in the batch; column 0 is still the own answer
+        traj = traj_of(["a"], "7", traj_id="t1")
+        batch = batch_of(traj_of(["b"], "9"), traj)
+        m = matrices_of(batch, ToyModel(VOCAB, seed=0))["t1"]
+        assert m.answer_order == ("7", "9")
+        model = ToyModel(VOCAB, seed=0)
+        for i, answer in enumerate(["7", "9"]):
+            response = model.score(ScoreRequest(traj.state_prefix(0), answer))
+            assert m.values[0, i] == distance_from_logprobs(response.token_logprobs)
 
     def test_non_negative_on_random_models(self):
         model = ToyModel(VOCAB, seed=8)
         traj = traj_of(["a b c", "d a"], "7")
-        m = build_distance_matrix(traj, ["7", "9"], model)
+        m = matrix_of(traj, ["7", "9"], model)
         assert (m.values >= 0).all()
 
     def test_monotone_response_to_boost(self):
@@ -104,14 +137,14 @@ class TestDistanceMatrix:
         boosted = ToyModel(VOCAB, seed=21)
         for ctx in VOCAB:
             boosted.boost([ctx], "7", 2.0)
-        m0 = build_distance_matrix(traj, ["7"], base)
-        m1 = build_distance_matrix(traj, ["7"], boosted)
+        m0 = matrix_of(traj, ["7"], base)
+        m1 = matrix_of(traj, ["7"], boosted)
         assert (m1.values <= m0.values + 1e-12).all()
 
     def test_export_roundtrip(self, tmp_path):
         traj = traj_of(["a b", "c"], "7")
         model = ToyModel(VOCAB, seed=2)
-        m = build_distance_matrix(traj, ["7", "9"], model)
+        m = matrix_of(traj, ["7", "9"], model)
         path = tmp_path / "matrices.jsonl"
         write_matrices([m], path)
         (loaded,) = read_matrices(path)
@@ -159,7 +192,7 @@ class TestNormalizedCurve:
         spec = PlantedSpec(seed=13)
         batch = planted_batch(spec)
         model = planted_model(spec)
-        mats = batch_distance_matrices(batch, model)
+        mats = matrices_of(batch, model)
         crossings = {True: [], False: []}
         for traj in batch.trajectories:
             points = normalized_curve(mats[traj.traj_id]).points
@@ -170,7 +203,7 @@ class TestNormalizedCurve:
     def test_curve_consistency_cross_module_on_planted(self):
         spec = PlantedSpec(seed=3)
         batch = planted_batch(spec)
-        mats = batch_distance_matrices(batch, planted_model(spec))
+        mats = matrices_of(batch, planted_model(spec))
         for traj in batch.trajectories:
             m = mats[traj.traj_id]
             points = normalized_curve(m).points

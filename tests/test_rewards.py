@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajreward.distance import batch_distance_matrices
+from trajreward.distance import batch_distance_matrices, score_plan
 from trajreward.errors import EmptyGroup, MissingMatrix
 from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import (
+    ADVANTAGE_EPS,
     CuriosityConfig,
     TrajectoryFeatures,
     assemble_rewards,
@@ -186,13 +187,20 @@ class TestStepCuriosity:
 
 
 class StepScorer:
-    """Scripted per-step logprobs keyed by state index."""
+    """Scripted logprobs keyed by continuation text; answers get -1 per token."""
 
-    def __init__(self, by_step):
-        self.by_step = by_step
+    def __init__(self, by_text):
+        self.by_text = by_text
 
     def score(self, request):
-        return ScoreResponse(tuple(self.by_step[request.key.state_index]))
+        default = [-1.0] * len(request.continuation.split())
+        return ScoreResponse(tuple(self.by_text.get(request.continuation, default)))
+
+
+def step_scores(traj, by_text):
+    """Scored plan, steps included, of a batch holding only ``traj``."""
+    batch = PromptBatch(traj.prompt_id, traj.prompt_text, [traj])
+    return score_plan(batch, StepScorer(by_text), steps=True)
 
 
 def traj_with_steps(step_texts, answer="7"):
@@ -203,21 +211,21 @@ def traj_with_steps(step_texts, answer="7"):
 class TestCuriosityReward:
     def test_mean_over_steps(self):
         traj = traj_with_steps(["one two three", "four five six"])
-        scorer = StepScorer({0: [math.log(0.5)] * 3, 1: [0.0, 0.0, 0.0]})
-        value = curiosity_reward(traj, scorer)
+        scores = step_scores(traj, {"one two three": [math.log(0.5)] * 3, "four five six": [0.0] * 3})
+        value = curiosity_reward(traj, scores)
         assert value == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
     def test_alg2_sign_mode(self):
         traj = traj_with_steps(["one two three"])
-        scorer = StepScorer({0: [math.log(0.5)] * 3})
-        value = curiosity_reward(traj, scorer, CuriosityConfig(sign="alg2"))
+        scores = step_scores(traj, {"one two three": [math.log(0.5)] * 3})
+        value = curiosity_reward(traj, scores, CuriosityConfig(sign="alg2"))
         assert value == pytest.approx(-math.log(2.0), abs=1e-12)
 
     def test_prefix_denominator_mode(self):
         traj = traj_with_steps(["one two three"])
-        scorer = StepScorer({0: [math.log(0.5)] * 3})
+        scores = step_scores(traj, {"one two three": [math.log(0.5)] * 3})
         # prompt "q\n\n" is 1 whitespace token; state length = 1 + 3
-        value = curiosity_reward(traj, scorer, CuriosityConfig(denominator="prefix"))
+        value = curiosity_reward(traj, scores, CuriosityConfig(denominator="prefix"))
         assert value == pytest.approx(3 * math.log(2.0) / 4.0, abs=1e-12)
 
     def test_invalid_modes_rejected(self):
@@ -241,8 +249,10 @@ class TestNormalizeAdvantages:
         if max(values) - min(values) < 1e-6:
             return
         out = np.array(normalize_advantages(values))
+        std = float(np.std(values))
         assert out.mean() == pytest.approx(0.0, abs=1e-9)
-        assert out.std() == pytest.approx(1.0, abs=1e-6)
+        # the documented (r - mean) / (std + eps) has std std / (std + eps)
+        assert out.std() == pytest.approx(std / (std + ADVANTAGE_EPS), abs=1e-9)
 
 
 class TestAssembleRewards:
@@ -261,8 +271,8 @@ class TestAssembleRewards:
         from trajreward.scoring import ToyModel
 
         vocab = ["q", "7", "9", "a0", "a1", "a2", "a3", "b", "c", "d0", "d1", "d2", "d3"]
-        model = ToyModel(vocab, seed=seed)
-        return batch, batch_distance_matrices(batch, model), model
+        scores = score_plan(batch, ToyModel(vocab, seed=seed), steps=True)
+        return batch, batch_distance_matrices(batch, scores), scores
 
     def test_single_answer_batch_is_skipped_with_zero_advantages(self):
         batch, mats, _ = self.build(["7", "7", "7"])
@@ -281,8 +291,8 @@ class TestAssembleRewards:
         assert by_id["t0"].r_total == g7.r_vector  # zero curiosity by default
 
     def test_totals_recompose_from_components(self):
-        batch, mats, model = self.build(["7", "9", "7", "9"])
-        curiosities = {t.traj_id: curiosity_reward(t, model) for t in batch.trajectories}
+        batch, mats, scores = self.build(["7", "9", "7", "9"])
+        curiosities = {t.traj_id: curiosity_reward(t, scores) for t in batch.trajectories}
         report = assemble_rewards(
             batch, mats, variant="linear", curiosity_weight=0.5, curiosities=curiosities
         )
@@ -329,7 +339,7 @@ class TestPlantedOrdering:
     def test_correct_label_has_higher_con_lower_vol(self):
         spec = PlantedSpec(seed=5)
         batch = planted_batch(spec)
-        mats = batch_distance_matrices(batch, planted_model(spec))
+        mats = batch_distance_matrices(batch, score_plan(batch, planted_model(spec)))
         by_label = {True: [], False: []}
         for t in batch.trajectories:
             m = mats[t.traj_id]

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from trajreward.errors import CacheMiss, MalformedResponse, ServiceUnavailable
 from trajreward.scoring import (
     BOS,
-    CacheKey,
     FileCacheScorer,
     HttpScorer,
     ScoreRequest,
@@ -90,6 +91,11 @@ class TestScoreResponse:
         with pytest.raises(MalformedResponse):
             ScoreResponse(())
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(MalformedResponse):
+            ScoreResponse((-1.0, value))
+
     def test_empty_continuation_rejected(self):
         with pytest.raises(ValueError):
             ScoreRequest("p", "")
@@ -109,14 +115,17 @@ class TestScoreBatch:
         assert out[0] == out[2]
 
     def test_request_grid_count(self):
-        # 4 trajectories x 3 states x 2 candidate answers = 24 requests
-        from trajreward.distance import matrix_requests
-        from trajreward.trajectory import SegmentationRules, segment_trajectory
+        # 4 trajectories x 3 states x 2 candidate answers = 24 cells; the
+        # bare-prompt row is the same text in every trajectory, so the plan
+        # holds 24 - 3 * 2 = 18 distinct requests
+        from trajreward.distance import plan_requests
+        from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
         rules = SegmentationRules(
             delimiter=r"\n\n", min_step_chars=1, answer_pattern=r"Answer: (.*)"
         )
-        reqs = []
+        batch = PromptBatch("p", "q\n\n")
+        cells = []
         for j in range(4):
             traj = segment_trajectory(
                 f"s{j}1\n\ns{j}2\n\ns{j}3\n\nAnswer: {7 if j % 2 else 9}",
@@ -125,8 +134,22 @@ class TestScoreBatch:
                 prompt_text="q\n\n",
             )
             assert traj.num_steps == 3
-            reqs.extend(matrix_requests(traj, ["7", "9"] if j % 2 else ["9", "7"]))
-        assert len(reqs) == 24
+            batch.trajectories.append(traj)
+            cells.extend(
+                ScoreRequest(traj.state_prefix(i), a) for i in range(3) for a in ("7", "9")
+            )
+        plan = plan_requests(batch, steps=False)
+        assert len(cells) == 24
+        assert len(plan) == 18
+        assert set(plan) == set(cells)
+        with_steps = plan_requests(batch, steps=True)
+        assert len(with_steps) == 18 + 12
+        assert with_steps[:18] == plan
+        assert set(with_steps) - set(plan) == {
+            ScoreRequest(t.state_prefix(i), t.steps[i].text)
+            for t in batch.trajectories
+            for i in range(3)
+        }
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 7])
     def test_order_independence(self, workers):
@@ -137,10 +160,9 @@ class TestScoreBatch:
 
     def test_error_carries_first_failing_index(self):
         cache = FileCacheScorer()
-        key = CacheKey("p", "t", 0, "answer", "7")
-        cache.record(key, ScoreResponse((-1.0,)))
-        good = ScoreRequest("x", "7", key)
-        bad = ScoreRequest("x", "9", CacheKey("p", "t", 0, "answer", "9"))
+        good = ScoreRequest("x", "7")
+        bad = ScoreRequest("x", "9")
+        cache.record(good, ScoreResponse((-1.0,)))
         with pytest.raises(CacheMiss) as err:
             score_batch([good, bad, bad], cache, parallelism=2)
         assert err.value.request_index == 1
@@ -153,38 +175,79 @@ class TestScoreBatch:
 class TestFileCache:
     def test_roundtrip(self, tmp_path):
         cache = FileCacheScorer()
-        key = CacheKey("p1", "t1", 2, "answer", "42")
-        cache.record(key, ScoreResponse((-0.5, -1.25)))
+        req = ScoreRequest("state text", "42")
+        cache.record(req, ScoreResponse((-0.5, -1.25)))
         path = tmp_path / "cache.jsonl"
         cache.dump(path)
         loaded = FileCacheScorer.load(path)
-        assert loaded.score(ScoreRequest("any", "prefix works", key)).token_logprobs == (-0.5, -1.25)
+        assert loaded.score(ScoreRequest("state text", "42")).token_logprobs == (-0.5, -1.25)
+        assert list(tmp_path.iterdir()) == [path]  # the temporary file was renamed away
 
     def test_miss_raises(self):
+        cache = FileCacheScorer()
+        cache.record(ScoreRequest("p", "c"), ScoreResponse((-1.0,)))
         with pytest.raises(CacheMiss):
-            FileCacheScorer().score(
-                ScoreRequest("p", "c", CacheKey("p", "t", 0, "answer", "nope"))
-            )
+            cache.score(ScoreRequest("p", "nope"))
+        with pytest.raises(CacheMiss):
+            cache.score(ScoreRequest("other prefix", "c"))
+
+    def test_key_separates_prefix_from_continuation(self):
+        # joining the two strings with a separator would make these collide
+        cache = FileCacheScorer()
+        cache.record(ScoreRequest("a\x1fb", "c"), ScoreResponse((-1.0,)))
+        with pytest.raises(CacheMiss):
+            cache.score(ScoreRequest("a", "b\x1fc"))
 
     def test_dump_is_sorted_and_stable(self, tmp_path):
         c1, c2 = FileCacheScorer(), FileCacheScorer()
-        k1 = CacheKey("p", "t", 0, "answer", "1")
-        k2 = CacheKey("p", "t", 1, "answer", "1")
-        c1.record(k1, ScoreResponse((-1.0,)))
-        c1.record(k2, ScoreResponse((-2.0,)))
-        c2.record(k2, ScoreResponse((-2.0,)))
-        c2.record(k1, ScoreResponse((-1.0,)))
+        r1 = ScoreRequest("p", "1")
+        r2 = ScoreRequest("p 1", "1")
+        c1.record(r1, ScoreResponse((-1.0,)))
+        c1.record(r2, ScoreResponse((-2.0,)))
+        c2.record(r2, ScoreResponse((-2.0,)))
+        c2.record(r1, ScoreResponse((-1.0,)))
         c1.dump(tmp_path / "a.jsonl")
         c2.dump(tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        lines = [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()]
+        assert [sorted(rec) for rec in lines] == [["key", "token_logprobs"]] * 2
+        assert [rec["key"] for rec in lines] == sorted(rec["key"] for rec in lines)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            "[1]",
+            '"text"',
+            '{"token_logprobs": [-1.0]}',
+            '{"key": "k"}',
+            '{"key": 3, "token_logprobs": [-1.0]}',
+            '{"key": "k", "token_logprobs": 5}',
+            # the per-trajectory format written before the cache was content-addressed
+            '{"continuation_id": "7", "kind": "answer", "prompt_id": "p", "state_index": 0, '
+            '"token_logprobs": [-1.0], "traj_id": "t"}',
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k", "token_logprobs": [-1.0]})
+        path.write_text(f"{good}\n\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            FileCacheScorer.load(path)
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, body-dict-or-None); last entry repeats
+    script = []  # list of (status, body-or-None); last entry repeats
     calls = 0
+    connections = 0
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
 
     def do_POST(self):
         cls = type(self)
+        self.rfile.read(int(self.headers["Content-Length"]))
         idx = min(cls.calls, len(cls.script) - 1)
         status, body = cls.script[idx]
         cls.calls += 1
@@ -196,6 +259,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        # with keep-alive, close every second request's connection without
+        # telling the client, as a server's idle timeout would
+        if self.protocol_version == "HTTP/1.1" and cls.calls % 2 == 0:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -205,9 +272,13 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 def http_server():
     servers = []
 
-    def start(script):
-        handler = type("Handler", (_ScriptedHandler,), {"script": script, "calls": 0})
-        server = HTTPServer(("127.0.0.1", 0), handler)
+    def start(script, keep_alive=False):
+        attrs = {"script": script, "calls": 0, "connections": 0}
+        if keep_alive:
+            attrs["protocol_version"] = "HTTP/1.1"
+        handler = type("Handler", (_ScriptedHandler,), attrs)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append(server)
@@ -255,10 +326,38 @@ class TestHttpScorer:
         with pytest.raises(MalformedResponse):
             HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
 
+    @pytest.mark.parametrize("declared", [[2], "two"])
+    def test_non_numeric_token_count_rejected(self, http_server, declared):
+        url, _ = http_server([(200, {"token_logprobs": [-1.0, -2.0], "token_count": declared})])
+        with pytest.raises(MalformedResponse):
+            HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
+
     def test_positive_logprob_rejected(self, http_server):
         url, _ = http_server([(200, {"token_logprobs": [0.25]})])
         with pytest.raises(MalformedResponse):
             HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
+
+    def test_nan_logprob_rejected(self, http_server):
+        url, _ = http_server([(200, {"token_logprobs": [-1.0, math.nan]})])
+        with pytest.raises(MalformedResponse):
+            HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
+
+    def test_non_object_reply_rejected(self, http_server):
+        url, _ = http_server([(200, [1])])
+        with pytest.raises(MalformedResponse):
+            HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
+
+    def test_keep_alive_connection_reused_and_reopened(self, http_server):
+        # HTTP/1.1 replies keep the connection open; the server then drops
+        # every second connection while it sits idle in the client's pool
+        url, handler = http_server([(200, {"token_logprobs": [-1.0]})], keep_alive=True)
+        scorer = HttpScorer(base_url=url, backoff=0.0, attempts=1)
+        for i in range(4):
+            assert scorer.score(ScoreRequest("p", f"c{i}")).token_logprobs == (-1.0,)
+            time.sleep(0.05)
+        scorer.close()
+        assert handler.calls == 4
+        assert handler.connections == 2
 
     def test_url_from_environment(self, http_server, monkeypatch):
         url, _ = http_server([(200, {"token_logprobs": [-1.0]})])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from collections import Counter
@@ -134,11 +135,66 @@ def diversity_metrics(responses: Sequence[Sequence[str]], ngram_max: int = 4) ->
     entropy = token_entropy([tok for seq in token_seqs for tok in seq])
     if len(token_seqs) < 2:
         return DiversityMetrics(entropy, None)
-    scores = [
-        bleu(seq, token_seqs[:i] + token_seqs[i + 1 :], ngram_max)
-        for i, seq in enumerate(token_seqs)
+    return DiversityMetrics(entropy, float(np.mean(_self_bleu_scores(token_seqs, ngram_max))))
+
+
+def _self_bleu_scores(token_seqs: list[list[str]], max_n: int) -> list[float]:
+    """``bleu(seq, every other seq, max_n)`` for each seq, bit-for-bit.
+
+    Each response's n-grams are counted once. Per gram the pool keeps its
+    top count, the response owning it and the second-highest count, so
+    the clip against all *other* responses is the top count, or the
+    second one when the hypothesis owns the top. The cost is linear in
+    the total number of n-grams instead of quadratic in responses.
+    """
+    counts = [
+        [Counter(zip(*(seq[k:] for k in range(n)))) for n in range(1, min(max_n, len(seq)) + 1)]
+        for seq in token_seqs
     ]
-    return DiversityMetrics(entropy, float(np.mean(scores)))
+    pools: list[dict[tuple, list[int]]] = [{} for _ in range(max_n)]
+    for owner, per_order in enumerate(counts):
+        for pool, grams in zip(pools, per_order):
+            for gram, count in grams.items():
+                entry = pool.get(gram)
+                if entry is None:
+                    pool[gram] = [count, owner, 0]
+                elif count > entry[0]:
+                    entry[:] = [count, owner, entry[0]]
+                elif count > entry[2]:
+                    entry[2] = count
+
+    lengths = [len(seq) for seq in token_seqs]
+    length_counts = Counter(lengths)
+    distinct_lengths = sorted(length_counts)
+
+    def leave_one_out(i: int, per_order: list[Counter]) -> float:
+        hyp_len = lengths[i]
+        if not hyp_len:
+            return 0.0
+        log_precisions = []
+        for pool, grams in zip(pools, per_order):
+            clipped = 0
+            for gram, count in grams.items():
+                top, owner, second = pool[gram]
+                clipped += min(count, second if owner == i else top)
+            if clipped == 0:
+                return 0.0
+            log_precisions.append(math.log(clipped / sum(grams.values())))
+        geo_mean = math.exp(sum(log_precisions) / min(max_n, hyp_len))
+        ref_len = _closest_other_length(hyp_len, length_counts, distinct_lengths)
+        brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+        return brevity * geo_mean
+
+    return [leave_one_out(i, per_order) for i, per_order in enumerate(counts)]
+
+
+def _closest_other_length(length: int, length_counts: Counter, distinct: list[int]) -> int:
+    """``bleu``'s closest reference length once ``length`` itself is removed."""
+    if length_counts[length] > 1:
+        return length
+    at = bisect.bisect_left(distinct, length)
+    neighbours = distinct[max(at - 1, 0) : at] + distinct[at + 1 : at + 2]
+    return min(neighbours, key=lambda L: (abs(L - length), L))
 
 
 def token_entropy(tokens: Sequence[str]) -> float:

@@ -40,6 +40,7 @@ from .probes import probe_reward_perturbations
 from .rewards import TrajectoryFeatures, assemble_rewards, curiosity_reward
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
 from .simulate import (
+    GROWTH_RATE,
     ConvergenceInstance,
     FlowConfig,
     TabularPolicy,
@@ -483,8 +484,12 @@ def _sim_growth(cfg: RunConfig, flow: FlowConfig, out: Path):
             if step % flow.record_every == 0:
                 times.append(step * flow.step_size)
                 probs.append(policy.probs)
-        caps = [p0 * np.exp(2.0 * t) for t in times]
-        worst = max(worst, max(float((p / c).max()) for p, c in zip(probs, caps)))
+        # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
+        ratios = [
+            float((p / (p0 * np.exp(GROWTH_RATE * t))).max())
+            for t, p in zip(times[1:], probs[1:])
+        ]
+        worst = max([worst, *ratios])
         ok = ok and growth_bound_satisfied(p0, times, probs)
     return ok, {"growth_bound": ok, "worst_ratio_to_cap": worst}
 

@@ -88,40 +88,65 @@ class RunConfig:
             fh.write("\n")
 
 
-def _merge_section(cls, data: dict | None):
-    obj = cls()
-    for key, value in (data or {}).items():
-        if not hasattr(obj, key):
+def _merge_section(cls, data):
+    """``cls`` built from a config section.
+
+    An unknown field, or a value of another kind than the field's default
+    (an int is accepted where the default is a float; a None default
+    accepts anything), is a ValueError.
+    """
+    data = data or {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} section must be a mapping, not {type(data).__name__}")
+    defaults = cls()
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key, value in data.items():
+        if key not in fields:
             raise ValueError(f"unknown {cls.__name__} field {key!r}")
-        setattr(obj, key, value)
-    return obj
+        default = getattr(defaults, key)
+        if default is None:
+            continue
+        kinds = (int, float) if type(default) is float else type(default)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and type(default) is not bool):
+            raise ValueError(
+                f"{cls.__name__} field {key!r} must be {type(default).__name__}, "
+                f"not {type(value).__name__}"
+            )
+    return cls(**data)
+
+
+def _parse_yaml(fh, path):
+    """The YAML document in ``fh``; malformed YAML is a one-line ValueError."""
+    # libyaml builds the same data as the pure-Python loader, several times faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(fh, Loader=loader)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ValueError(f"{path}: malformed YAML: {exc.problem}{where}") from exc
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Build a RunConfig from a YAML document (missing path: defaults)."""
+    """Build a RunConfig from a YAML mapping (missing path: defaults)."""
     data: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-    cfg = RunConfig(
+            data = _parse_yaml(fh, path) or {}
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a YAML mapping, not {type(data).__name__}")
+    return RunConfig(
         input=data.get("input"),
         out=data.get("out", "runs/out"),
         seed=int(data.get("seed", 0)),
         workers=int(data.get("workers", 1)),
         scorer=_merge_section(ScorerConfig, data.get("scorer")),
+        segmentation=_merge_section(SegmentationRules, data.get("segmentation")),
         reward=_merge_section(RewardConfig, data.get("reward")),
         simulate=_merge_section(SimulateConfig, data.get("simulate")),
     )
-    seg = data.get("segmentation") or {}
-    cfg.segmentation = SegmentationRules(
-        delimiter=seg.get("delimiter", SegmentationRules.delimiter),
-        min_step_chars=int(seg.get("min_step_chars", SegmentationRules.min_step_chars)),
-        answer_pattern=seg.get("answer_pattern", SegmentationRules.answer_pattern),
-        use_last_step_fallback=bool(
-            seg.get("use_last_step_fallback", SegmentationRules.use_last_step_fallback)
-        ),
-    )
-    return cfg
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:

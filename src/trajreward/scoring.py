@@ -95,8 +95,8 @@ class ToyModel:
         self.seed = seed
         self.init = init
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)}
-        self._boosts: dict[tuple[tuple[str, ...], int], float] = {}
-        self._tables: dict[tuple[str, ...], np.ndarray] = {}
+        self._boosts: dict[tuple[str, ...], dict[int, float]] = {}
+        self._log_probs: dict[tuple[str, ...], np.ndarray] = {}
 
     @classmethod
     def uniform(cls, vocabulary, order: int = 2, seed: int = 0) -> "ToyModel":
@@ -122,31 +122,31 @@ class ToyModel:
     def boost(self, context_tokens, token: str, delta: float) -> None:
         """Add ``delta`` to the logit of ``token`` after ``context_tokens``."""
         ctx = self.context_of(list(context_tokens))
-        self._boosts[(ctx, self.token_index(token))] = (
-            self._boosts.get((ctx, self.token_index(token)), 0.0) + delta
-        )
-        self._tables.pop(ctx, None)
+        deltas = self._boosts.setdefault(ctx, {})
+        tok_idx = self.token_index(token)
+        deltas[tok_idx] = deltas.get(tok_idx, 0.0) + delta
+        self._log_probs.pop(ctx, None)
 
     def logits(self, context: tuple[str, ...]) -> np.ndarray:
-        table = self._tables.get(context)
-        if table is None:
-            size = len(self.vocabulary)
-            if self.init == "uniform":
-                table = np.zeros(size)
-            else:
-                rng = np.random.default_rng(_stable_digest(str(self.seed), *context))
-                table = np.log(rng.dirichlet(np.ones(size)))
-            for (ctx, tok_idx), delta in self._boosts.items():
-                if ctx == context:
-                    table = table.copy()
-                    table[tok_idx] += delta
-            self._tables[context] = table
+        size = len(self.vocabulary)
+        if self.init == "uniform":
+            table = np.zeros(size)
+        else:
+            rng = np.random.default_rng(_stable_digest(str(self.seed), *context))
+            table = np.log(rng.dirichlet(np.ones(size)))
+        for tok_idx, delta in self._boosts.get(context, {}).items():
+            table[tok_idx] += delta
         return table
 
     def log_probs(self, context: tuple[str, ...]) -> np.ndarray:
-        logits = self.logits(context)
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
+        """Log-softmax of the context's logits, cached until its next boost."""
+        table = self._log_probs.get(context)
+        if table is None:
+            logits = self.logits(context)
+            shifted = logits - logits.max()
+            table = shifted - np.log(np.exp(shifted).sum())
+            self._log_probs[context] = table
+        return table
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         cont = self.tokenize(request.continuation)
@@ -181,7 +181,11 @@ class ToyModel:
             "init": self.init,
             "boosts": [
                 {"context": list(ctx), "token": self.vocabulary[tok_idx], "delta": delta}
-                for (ctx, tok_idx), delta in sorted(self._boosts.items())
+                for (ctx, tok_idx), delta in sorted(
+                    ((ctx, tok_idx), delta)
+                    for ctx, deltas in self._boosts.items()
+                    for tok_idx, delta in deltas.items()
+                )
             ],
         }
 

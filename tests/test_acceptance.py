@@ -338,7 +338,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path, fixtures_dir):
     for f in data_files:
         assert (wide / f).read_bytes() == snapshots[f], f
 
-    records = [json.loads(line) for line in (first / "rewards.jsonl").open()]
+    records = [json.loads(line) for line in (first / "rewards.jsonl").read_text().splitlines()]
     assert len(records) == 8
     print("PASS criterion 9: reward outputs byte-identical across reruns and worker counts "
           f"({len(records)} records)")

@@ -148,6 +148,19 @@ class TestDiversity:
         for perm in itertools.islice(itertools.permutations(tokens), 3):
             assert token_entropy(list(perm)) == token_entropy(tokens)
 
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["a", "b", "c"]), max_size=9), min_size=2, max_size=8
+        )
+    )
+    def test_self_bleu_equals_leave_one_out_naive_matcher(self, responses):
+        # three symbols: ties for the top count, repeated grams, equal lengths,
+        # and responses shorter than the highest order all come up
+        expected = np.mean(
+            [naive_bleu(r, responses[:i] + responses[i + 1 :], 4) for i, r in enumerate(responses)]
+        )
+        assert diversity_metrics(responses).self_bleu == expected
+
     def test_self_bleu_order_invariant(self):
         responses = [
             "alpha beta gamma delta".split(),

@@ -35,7 +35,8 @@ def planted_setup(tmp_path):
 
 
 def read_lines(path):
-    return [json.loads(line) for line in open(path) if line.strip()]
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 class TestExitCodes:
@@ -143,6 +144,22 @@ class TestExitCodes:
         cfg_path = tmp_path / "sim.yaml"
         cfg_path.write_text(yaml.safe_dump({"simulate": {"preset": "mystery"}}))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scorer: {source: toy\n",  # malformed YAML
+            "- reward\n- simulate\n",  # a document that is not a mapping
+            "segmentation:\n  min_chars: 3\n",  # unknown segmentation key
+        ],
+    )
+    def test_bad_config_is_one_line_input_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(text)
+        assert main(["segment", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config:")
+        assert err.count("\n") == 1
 
 
 class _CountingScoreHandler(BaseHTTPRequestHandler):
@@ -420,6 +437,16 @@ class TestSimulatePresets:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assertions = json.loads((out / "assertions.json").read_text())
         assert assertions
+
+    def test_growth_ratio_is_taken_after_t0(self, tmp_path):
+        cfg_path = tmp_path / "sim.yaml"
+        cfg_path.write_text(yaml.safe_dump({"simulate": {"preset": "growth-bound", "max_time": 2.0}}))
+        out = tmp_path / "growth"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assertions = json.loads((out / "assertions.json").read_text())
+        assert assertions["growth_bound"] is True
+        # at t = 0 the cap is pi_0 itself, which would pin the ratio to exactly 1
+        assert 0.0 < assertions["worst_ratio_to_cap"] < 1.0
 
     def test_probe_preset_small(self, tmp_path):
         cfg = {"simulate": {"preset": "robustness-probe", "n_groups": 500}}

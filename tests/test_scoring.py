@@ -16,10 +16,48 @@ from trajreward.scoring import (
     ScoreRequest,
     ScoreResponse,
     ToyModel,
+    _stable_digest,
     score_batch,
 )
 
 VOCAB = ["a", "b", "c", "d"]
+
+
+class BoostScanReference:
+    """The toy model without its context index: one flat boost map, scanned
+    in full for every context, and nothing cached."""
+
+    def __init__(self, model: ToyModel):
+        self.model = model
+        self.boosts: dict[tuple[tuple[str, ...], int], float] = {}
+
+    def boost(self, context_tokens, token, delta):
+        key = (self.model.context_of(list(context_tokens)), self.model.token_index(token))
+        self.boosts[key] = self.boosts.get(key, 0.0) + delta
+
+    def log_probs(self, context):
+        seed = _stable_digest(str(self.model.seed), *context)
+        table = np.log(np.random.default_rng(seed).dirichlet(np.ones(len(VOCAB))))
+        for (ctx, tok_idx), delta in self.boosts.items():
+            if ctx == context:
+                table[tok_idx] += delta
+        shifted = table - table.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+    def score(self, request):
+        history = request.prefix.split()
+        out = []
+        for tok in request.continuation.split():
+            lp = self.log_probs(self.model.context_of(history))[self.model.token_index(tok)]
+            out.append(min(float(lp), 0.0))
+            history.append(tok)
+        return ScoreResponse(tuple(out))
+
+    def config_boosts(self):
+        return [
+            {"context": list(ctx), "token": VOCAB[tok_idx], "delta": delta}
+            for (ctx, tok_idx), delta in sorted(self.boosts.items())
+        ]
 
 
 class TestToyModel:
@@ -74,6 +112,36 @@ class TestToyModel:
         clone = ToyModel.from_config(model.to_config())
         req = ScoreRequest("b a", "c d")
         assert clone.score(req) == model.score(req)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_context_index_matches_boost_scan(self, order):
+        model = ToyModel(VOCAB, order=order, seed=11)
+        reference = BoostScanReference(model)
+        requests = [
+            ScoreRequest("a", "b c a b"),
+            ScoreRequest("", "a a d"),
+            ScoreRequest("c zzz", "b zzz a"),
+        ]
+
+        def boost(context, token, delta):
+            model.boost(context, token, delta)
+            reference.boost(context, token, delta)
+
+        boost(["a"], "b", 2.5)
+        boost(["c", "zzz"], "a", -1.25)
+        boost(["a"], "b", 0.1)  # same (context, token) again: the deltas add up
+        boost(["d", "a"], "oov-token", 0.7)
+        assert [model.score(r) for r in requests] == [reference.score(r) for r in requests]
+
+        boost(["a"], "c", 1.5)  # after scoring: the context's cached table must go
+        boost(["b"], "b", 3.0)
+        assert [model.score(r) for r in requests] == [reference.score(r) for r in requests]
+
+        config = model.to_config()
+        assert config["boosts"] == reference.config_boosts()
+        clone = ToyModel.from_config(config)
+        assert clone.to_config() == config
+        assert [clone.score(r) for r in requests] == [model.score(r) for r in requests]
 
     def test_oov_tokens_score_deterministically(self):
         model = ToyModel(VOCAB, seed=0)

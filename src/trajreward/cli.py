@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis
 from .config import RunConfig, apply_overrides, load_config
 from .distance import (
@@ -32,25 +30,12 @@ from .errors import (
     EmptyResponse,
     MalformedResponse,
     NoAnswerFound,
-    NonConvergence,
     ServiceUnavailable,
     TrajRewardError,
 )
-from .probes import probe_reward_perturbations
 from .rewards import TrajectoryFeatures, assemble_rewards, curiosity_reward
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
-from .simulate import (
-    GROWTH_RATE,
-    ConvergenceInstance,
-    FlowConfig,
-    TabularPolicy,
-    flow_step,
-    growth_bound_satisfied,
-    random_latent_model,
-    simulate_collapse,
-    simulate_convergence,
-    verify_elbo,
-)
+from .simulate import FlowConfig, run_preset
 from .trajectory import load_prompt_batches, read_trajectory_records
 
 EXIT_OK = 0
@@ -300,16 +285,11 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     if rewards_path:
         features, labels = [], []
-        with open(rewards_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                features.append(
-                    TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
-                )
-                labels.append(rec.get("correct"))
+        for rec in read_trajectory_records(rewards_path, ("traj_id", "con", "vol", "r_cur")):
+            features.append(
+                TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
+            )
+            labels.append(rec.get("correct"))
         if not features:
             raise ValueError(f"no reward records in {rewards_path}")
         stats = analysis.feature_statistics(features, labels)
@@ -324,9 +304,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         analysis.write_curve_table(rows, out / "curves.csv")
 
     if cfg.input:
-        responses = [
-            rec["response_text"].split() for rec in read_trajectory_records(cfg.input)
-        ]
+        records = read_trajectory_records(cfg.input, ("response_text",))
+        responses = [rec["response_text"].split() for rec in records]
         if responses:
             metrics = analysis.diversity_metrics(responses)
             analysis.write_diversity(metrics, out / "diversity.csv")
@@ -346,16 +325,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         seed=cfg.seed,
         record_every=sim.record_every,
     )
-    runner = {
-        "collapse": _sim_collapse,
-        "convergence": _sim_convergence,
-        "elbo": _sim_elbo,
-        "growth-bound": _sim_growth,
-        "robustness-probe": _sim_probe,
-    }.get(sim.preset)
-    if runner is None:
-        raise ValueError(f"unknown simulate preset {sim.preset!r}")
-    ok, assertions = runner(cfg, flow, out)
+    ok, assertions = run_preset(sim, flow, cfg.seed, out)
     with open(out / "assertions.json", "w", encoding="utf-8") as fh:
         json.dump(assertions, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -365,143 +335,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         print("bound assertion failed", file=sys.stderr)
         return EXIT_BOUND
     return EXIT_OK
-
-
-def _write_series(path: Path, times, probs, e_true, e_proxy) -> None:
-    records = (
-        {
-            "t": float(t),
-            "pi": [float(x) for x in p],
-            "E_r_true": float(a),
-            "E_r_proxy": float(b),
-        }
-        for t, p, a, b in zip(times, probs, e_true, e_proxy)
-    )
-    _write_jsonl(path, records)
-
-
-def _sim_collapse(cfg: RunConfig, flow: FlowConfig, out: Path):
-    sim = cfg.simulate
-    policy0 = TabularPolicy.from_probs(sim.pi0)
-    report = simulate_collapse(
-        policy0, flow, mode=sim.mode, truth_index=sim.truth_index, target=sim.target
-    )
-    _write_series(
-        out / "series.jsonl", report.times, report.probs, report.true_accuracy, report.expected_proxy
-    )
-    assertions = {
-        "converged": report.converged,
-        "monotone": report.monotone,
-        "growth_bound": report.growth_ok,
-        "final_modal_prob": float(report.modal_prob[-1]),
-        "final_true_accuracy": float(report.true_accuracy[-1]),
-        "modal_reward_constant_one": True,  # by construction of the majority reward
-    }
-    return report.converged and report.monotone and report.growth_ok, assertions
-
-
-def _sim_convergence(cfg: RunConfig, flow: FlowConfig, out: Path):
-    instance = worked_convergence_instance()
-    try:
-        report = simulate_convergence(instance, flow)
-    except NonConvergence as exc:
-        return False, {"within_bound": False, "error": str(exc)}
-    proxy_series = [float(p @ instance.r_proxy) for p in report.probs]
-    _write_series(
-        out / "series.jsonl", report.times, report.probs, report.expected_true, proxy_series
-    )
-    sweep_ok = _write_convergence_sweep(flow, out / "sweep.txt")
-    assertions = {
-        "hit_time": float(report.hit_time),
-        "bound": float(report.bound),
-        "within_bound": report.within_bound,
-        "growth_bound": report.growth_ok,
-        "sweep_within_bound": sweep_ok,
-    }
-    return report.within_bound and report.growth_ok and sweep_ok, assertions
-
-
-def _write_convergence_sweep(flow: FlowConfig, path: Path) -> bool:
-    """Hitting time vs initial preferred mass, as a columnar text table."""
-    rows = []
-    ok = True
-    for mass in (0.3, 0.2, 0.1, 0.05):
-        probs0 = np.full(5, (1.0 - mass) / 4.0)
-        probs0[0] = mass
-        rewards = np.zeros(5)
-        rewards[0] = 1.0
-        instance = ConvergenceInstance(probs0, rewards, rewards.copy(), gamma=0.4, y_plus=(0,))
-        try:
-            report = simulate_convergence(instance, flow)
-            hit, within = report.hit_time, report.within_bound
-        except NonConvergence:
-            hit, within = float("nan"), False
-        ok = ok and within
-        rows.append((mass, hit, instance.bound, within))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{'pi0_plus':>10} {'hit_time':>12} {'bound':>12} {'within':>8}\n")
-        for mass, hit, bound, within in rows:
-            fh.write(f"{mass:>10.4f} {hit:>12.4f} {bound:>12.4f} {str(within):>8}\n")
-    return ok
-
-
-def worked_convergence_instance() -> ConvergenceInstance:
-    """Five outputs, one preferred with initial mass 0.1, gamma 0.4."""
-    probs0 = np.array([0.1, 0.225, 0.225, 0.225, 0.225])
-    r_true = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    r_proxy = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    return ConvergenceInstance(probs0, r_true, r_proxy, gamma=0.4, y_plus=(0,))
-
-
-def _sim_elbo(cfg: RunConfig, flow: FlowConfig, out: Path):
-    sim = cfg.simulate
-    rng = np.random.default_rng(cfg.seed)
-    model = random_latent_model(sim.n_latent, sim.n_outputs, rng)
-    prior_report = verify_elbo(model, model.prior)
-    posterior_report = verify_elbo(model, model.posterior())
-    assertions = {
-        "prior_bound_holds": prior_report.holds,
-        "posterior_tight": posterior_report.tight,
-        "min_gap_prior": float(prior_report.gaps.min()),
-        "max_abs_gap_posterior": float(np.abs(posterior_report.gaps).max()),
-    }
-    return prior_report.holds and posterior_report.tight, assertions
-
-
-def _sim_growth(cfg: RunConfig, flow: FlowConfig, out: Path):
-    rng = np.random.default_rng(cfg.seed)
-    ok = True
-    worst = 0.0
-    for _ in range(5):
-        n = int(rng.integers(2, 6))
-        policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
-        rewards = rng.random(n)
-        p0 = policy.probs
-        times, probs = [0.0], [p0]
-        steps = int(round(flow.max_time / flow.step_size))
-        for step in range(1, steps + 1):
-            policy = flow_step(policy, rewards, flow, ref_log_probs=np.log(p0))
-            if step % flow.record_every == 0:
-                times.append(step * flow.step_size)
-                probs.append(policy.probs)
-        # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
-        ratios = [
-            float((p / (p0 * np.exp(GROWTH_RATE * t))).max())
-            for t, p in zip(times[1:], probs[1:])
-        ]
-        worst = max([worst, *ratios])
-        ok = ok and growth_bound_satisfied(p0, times, probs)
-    return ok, {"growth_bound": ok, "worst_ratio_to_cap": worst}
-
-
-def _sim_probe(cfg: RunConfig, flow: FlowConfig, out: Path):
-    report = probe_reward_perturbations(cfg.simulate.n_groups, cfg.seed)
-    assertions = {
-        "groups_checked": report.groups_checked,
-        "violations": report.total_violations,
-        **{f"violations_{k}": v for k, v in report.violations.items()},
-    }
-    return report.total_violations == 0, assertions
 
 
 if __name__ == "__main__":

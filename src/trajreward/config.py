@@ -78,18 +78,16 @@ class RunConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def echo(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            # each section serialises as its field dict; no deep copy of the toy boosts
+            json.dump(self, fh, default=vars, sort_keys=True, indent=2)
             fh.write("\n")
 
 
 def _merge_section(cls, data):
-    """``cls`` built from a config section.
+    """``cls`` built from a config section, its sections built in turn.
 
     An unknown field, or a value of another kind than the field's default
     (an int is accepted where the default is a float; a None default
@@ -100,19 +98,23 @@ def _merge_section(cls, data):
         raise ValueError(f"{cls.__name__} section must be a mapping, not {type(data).__name__}")
     defaults = cls()
     fields = {f.name for f in dataclasses.fields(cls)}
+    values = {}
     for key, value in data.items():
         if key not in fields:
             raise ValueError(f"unknown {cls.__name__} field {key!r}")
         default = getattr(defaults, key)
-        if default is None:
-            continue
-        kinds = (int, float) if type(default) is float else type(default)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and type(default) is not bool):
-            raise ValueError(
-                f"{cls.__name__} field {key!r} must be {type(default).__name__}, "
-                f"not {type(value).__name__}"
-            )
-    return cls(**data)
+        if dataclasses.is_dataclass(default):
+            value = _merge_section(type(default), value)
+        elif default is not None:
+            kinds = (int, float) if type(default) is float else type(default)
+            wrong_bool = isinstance(value, bool) and type(default) is not bool
+            if wrong_bool or not isinstance(value, kinds):
+                raise ValueError(
+                    f"{cls.__name__} field {key!r} must be {type(default).__name__}, "
+                    f"not {type(value).__name__}"
+                )
+        values[key] = value
+    return cls(**values)
 
 
 def _parse_yaml(fh, path):
@@ -137,16 +139,7 @@ def load_config(path: str | None) -> RunConfig:
             data = _parse_yaml(fh, path) or {}
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a YAML mapping, not {type(data).__name__}")
-    return RunConfig(
-        input=data.get("input"),
-        out=data.get("out", "runs/out"),
-        seed=int(data.get("seed", 0)),
-        workers=int(data.get("workers", 1)),
-        scorer=_merge_section(ScorerConfig, data.get("scorer")),
-        segmentation=_merge_section(SegmentationRules, data.get("segmentation")),
-        reward=_merge_section(RewardConfig, data.get("reward")),
-        simulate=_merge_section(SimulateConfig, data.get("simulate")),
-    )
+    return _merge_section(RunConfig, data)
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:

@@ -3,17 +3,21 @@
 Exact-expectation machinery for a policy with one free logit per output:
 the policy-gradient field, its closed-form probability velocity, Euler
 and RK4 integration of the flow, majority-vote collapse runs, hitting
-times against the proxy-reward convergence bound, and an enumeration
-check of the latent-state evidence lower bound.
+times against the proxy-reward convergence bound, an enumeration check
+of the latent-state evidence lower bound, and the ``simulate`` presets
+that run these checks and write their results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InstanceInvalid, NonConvergence
+from .probes import probe_reward_perturbations
 
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
 
@@ -28,39 +32,33 @@ class TabularPolicy:
     """Softmax distribution over a finite output set, one logit per output."""
 
     logits: np.ndarray
-    prompt_id: str = ""
 
     @classmethod
-    def from_probs(cls, probs, prompt_id: str = "") -> "TabularPolicy":
+    def from_probs(cls, probs) -> "TabularPolicy":
         p = np.asarray(probs, dtype=float)
         if (p <= 0).any():
             raise ValueError("initial probabilities must be strictly positive")
-        return cls(np.log(p / p.sum()), prompt_id)
+        return cls(np.log(p / p.sum()))
 
     @property
     def probs(self) -> np.ndarray:
         return softmax(self.logits)
 
-    @property
-    def size(self) -> int:
-        return len(self.logits)
+
+def _tangent(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Logit gradient of E_p[f] for a fixed f; components sum to zero."""
+    return p * (f - float(p @ f))
 
 
 def exact_policy_gradient(policy: TabularPolicy, rewards: np.ndarray) -> np.ndarray:
-    """Exact objective gradient: component y is pi(y) * (r(y) - E_pi[r]).
-
-    Components always sum to zero (the softmax tangent space).
-    """
-    p = policy.probs
-    r = np.asarray(rewards, dtype=float)
-    return p * (r - float(p @ r))
+    """Exact objective gradient: component y is pi(y) * (r(y) - E_pi[r])."""
+    return _tangent(policy.probs, np.asarray(rewards, dtype=float))
 
 
 def kl_gradient(policy: TabularPolicy, ref_log_probs: np.ndarray) -> np.ndarray:
     """Gradient of KL(pi_theta || pi_ref) with respect to the logits."""
     p = policy.probs
-    ratio = np.log(p) - ref_log_probs
-    return p * (ratio - float(p @ ratio))
+    return _tangent(p, np.log(p) - ref_log_probs)
 
 
 def policy_velocity(probs: np.ndarray, rewards: np.ndarray) -> np.ndarray:
@@ -96,14 +94,6 @@ class FlowConfig:
             raise ValueError("kl_coefficient must be >= 0")
 
 
-def _theta_derivative(logits, rewards, lam, ref_log_probs):
-    policy = TabularPolicy(logits)
-    grad = exact_policy_gradient(policy, rewards)
-    if lam > 0.0 and ref_log_probs is not None:
-        grad = grad - lam * kl_gradient(policy, ref_log_probs)
-    return grad
-
-
 def flow_step(
     policy: TabularPolicy,
     rewards: np.ndarray,
@@ -113,7 +103,16 @@ def flow_step(
     """Advance the logits one step along d theta / dt = grad J (- lam grad KL)."""
     h = config.step_size
     lam = config.kl_coefficient
-    f = lambda th: _theta_derivative(th, rewards, lam, ref_log_probs)  # noqa: E731
+    r = np.asarray(rewards, dtype=float)
+    with_kl = lam > 0.0 and ref_log_probs is not None
+
+    def f(th):
+        p = softmax(th)
+        grad = _tangent(p, r)
+        if with_kl:
+            grad = grad - lam * _tangent(p, np.log(p) - ref_log_probs)
+        return grad
+
     th = policy.logits
     if config.integrator == "euler":
         new = th + h * f(th)
@@ -123,7 +122,34 @@ def flow_step(
         k3 = f(th + 0.5 * h * k2)
         k4 = f(th + h * k3)
         new = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(policy, logits=new)
+    return TabularPolicy(new)
+
+
+def _run_flow(policy: TabularPolicy, config: FlowConfig, rewards_at, stop=None):
+    """Integrate the flow from ``policy`` with the KL reference at log pi_0.
+
+    Runs round(max_time / step_size) steps; ``rewards_at(p)`` is the
+    reward vector at probabilities p, and the run ends at the first step
+    after t = 0 whose probabilities satisfy ``stop(p)``. Returns arrays
+    (times, probs, rewards) at the checkpoints: t = 0, every
+    ``record_every``-th step, the last step and a stopping step.
+    """
+    steps = int(round(config.max_time / config.step_size))
+    p = policy.probs
+    ref_log_probs = np.log(p)
+    r = rewards_at(p)
+    checkpoints = [(0.0, p, r)]
+    for step in range(1, steps + 1):
+        policy = flow_step(policy, r, config, ref_log_probs=ref_log_probs)
+        p = policy.probs
+        r = rewards_at(p)
+        stopped = stop is not None and stop(p)
+        if stopped or step % config.record_every == 0 or step == steps:
+            checkpoints.append((step * config.step_size, p, r))
+        if stopped:
+            break
+    times, probs, rewards = zip(*checkpoints)
+    return np.array(times), np.array(probs), np.array(rewards)
 
 
 def growth_bound_satisfied(probs0, times, probs_series, rtol: float = 1e-9) -> bool:
@@ -174,52 +200,38 @@ def simulate_collapse(
     the lowest index); "sampled" re-derives the modal output each step
     from ``sample_count`` fresh draws.
     """
-    if policy0.size < 2:
+    if len(policy0.logits) < 2:
         raise ValueError("collapse needs at least two outputs")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown collapse mode {mode!r}")
     rng = np.random.default_rng(config.seed)
-    steps = int(round(config.max_time / config.step_size))
-    policy = policy0
-    p0 = policy0.probs
 
-    times, probs, stars = [], [], []
-    for step in range(steps + 1):
-        p = policy.probs
+    def majority_reward(p):
         if mode == "exact":
             star = int(np.argmax(p))
         else:
-            draws = rng.choice(policy.size, size=config.sample_count, p=p)
-            star = int(np.argmax(np.bincount(draws, minlength=policy.size)))
-        if step % config.record_every == 0 or step == steps:
-            times.append(step * config.step_size)
-            probs.append(p)
-            stars.append(star)
-        if step == steps:
-            break
-        rewards = np.zeros(policy.size)
+            draws = rng.choice(len(p), size=config.sample_count, p=p)
+            star = int(np.argmax(np.bincount(draws, minlength=len(p))))
+        rewards = np.zeros(len(p))
         rewards[star] = 1.0
-        policy = flow_step(policy, rewards, config, ref_log_probs=np.log(p0))
+        return rewards
 
-    times_arr = np.array(times)
-    probs_arr = np.array(probs)
-    stars_arr = np.array(stars)
-    modal = probs_arr[np.arange(len(stars_arr)), stars_arr]
-    truth = truth_index if truth_index is not None else int(stars_arr[0])
-    accuracy = probs_arr[:, truth]
-    expected_proxy = modal  # E_pi[1{y = y*}] = pi(y*)
+    times, probs, rewards = _run_flow(policy0, config, majority_reward)
+    stars = rewards.argmax(axis=1)
+    modal = probs[np.arange(len(stars)), stars]
+    truth = truth_index if truth_index is not None else int(stars[0])
     monotone = bool(np.all(np.diff(modal) >= 0.0)) if mode == "exact" else True
     return CollapseReport(
-        times=times_arr,
-        probs=probs_arr,
-        y_star=stars_arr,
+        times=times,
+        probs=probs,
+        y_star=stars,
         modal_prob=modal,
-        true_accuracy=accuracy,
-        expected_proxy=expected_proxy,
+        true_accuracy=probs[:, truth],
+        expected_proxy=modal,  # E_pi[1{y = y*}] = pi(y*)
         target=target,
         converged=bool(modal[-1] >= target),
         monotone=monotone,
-        growth_ok=growth_bound_satisfied(p0, times_arr, probs_arr),
+        growth_ok=growth_bound_satisfied(probs[0], times, probs),
     )
 
 
@@ -344,47 +356,32 @@ class ConvergenceReport:
 def simulate_convergence(instance: ConvergenceInstance, config: FlowConfig) -> ConvergenceReport:
     """Run the proxy-reward flow until the true-reward target is hit.
 
-    Returns the (interpolated) hitting time; raises NonConvergence when
-    the horizon ends first.
+    The hitting time is the first step time at or above the target;
+    NonConvergence is raised when the horizon ends first.
     """
     instance.validate()
     rho = instance.rho
     policy = TabularPolicy.from_probs(instance.probs0)
-    p0 = policy.probs
-    h = config.step_size
-    steps = int(round(config.max_time / h))
-
-    times = [0.0]
-    expected = [float(p0 @ instance.r_true)]
-    hit: float | None = 0.0 if instance.gamma == 0.0 else None
-    checkpoints = [p0]
-    if hit is None:
-        for step in range(1, steps + 1):
-            policy = flow_step(policy, instance.r_proxy, config, ref_log_probs=np.log(p0))
-            p = policy.probs
-            e_true = float(p @ instance.r_true)
-            t = step * h
-            if step % config.record_every == 0 or e_true >= rho or step == steps:
-                times.append(t)
-                expected.append(e_true)
-                checkpoints.append(p)
-            if e_true >= rho:
-                # first discrete time at/above target: an upper bound on
-                # the true hitting time, which is what the bound check needs
-                hit = t
-                break
-        if hit is None:
-            raise NonConvergence(
-                f"target {rho} not reached by t = {config.max_time} "
-                f"(final expected true reward {expected[-1]})"
-            )
+    if instance.gamma == 0.0:
+        times, probs = np.zeros(1), policy.probs[None, :]
+    else:
+        # stops at the first discrete time at/above target: an upper bound
+        # on the true hitting time, which is what the bound check needs
+        reached = lambda p: float(p @ instance.r_true) >= rho  # noqa: E731
+        times, probs, _ = _run_flow(policy, config, lambda p: instance.r_proxy, reached)
+    expected = np.array([float(p @ instance.r_true) for p in probs])
+    if instance.gamma > 0.0 and expected[-1] < rho:
+        raise NonConvergence(
+            f"target {rho} not reached by t = {config.max_time} "
+            f"(final expected true reward {expected[-1]})"
+        )
     return ConvergenceReport(
-        hit_time=hit,
+        hit_time=float(times[-1]),
         bound=instance.bound,
-        times=np.array(times),
-        expected_true=np.array(expected),
-        probs=np.array(checkpoints),
-        growth_ok=growth_bound_satisfied(p0, times, checkpoints),
+        times=times,
+        expected_true=expected,
+        probs=probs,
+        growth_ok=growth_bound_satisfied(probs[0], times, probs),
     )
 
 
@@ -464,3 +461,137 @@ def random_latent_model(n_latent: int, n_outputs: int, rng) -> LatentTabularMode
     prior = rng.dirichlet(np.ones(n_latent))
     conditional = rng.dirichlet(np.ones(n_outputs), size=n_latent)
     return LatentTabularModel(prior, conditional)
+
+
+# ---------------------------------------------------------------------------
+# presets of the simulate command
+
+
+def preferred_mass_instance(mass: float) -> ConvergenceInstance:
+    """Five outputs, output 0 preferred with initial mass ``mass``, gamma 0.4.
+
+    Mass 0.1 is the worked instance, whose bound is 1280 / 9.
+    """
+    probs0 = np.full(5, (1.0 - mass) / 4.0)
+    probs0[0] = mass
+    rewards = np.zeros(5)
+    rewards[0] = 1.0
+    return ConvergenceInstance(probs0, rewards, rewards.copy(), gamma=0.4, y_plus=(0,))
+
+
+WORKED_MASS = 0.1
+SWEEP_MASSES = (0.3, 0.2, WORKED_MASS, 0.05)
+
+
+def _write_series(path: Path, report, e_true, e_proxy) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for t, p, a, b in zip(report.times, report.probs, e_true, e_proxy):
+            rec = {"t": float(t), "pi": p.tolist(), "E_r_true": float(a), "E_r_proxy": float(b)}
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _collapse_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    policy0 = TabularPolicy.from_probs(sim.pi0)
+    report = simulate_collapse(policy0, flow, sim.mode, sim.truth_index, sim.target)
+    _write_series(out / "series.jsonl", report, report.true_accuracy, report.expected_proxy)
+    assertions = {
+        "converged": report.converged,
+        "monotone": report.monotone,
+        "growth_bound": report.growth_ok,
+        "final_modal_prob": float(report.modal_prob[-1]),
+        "final_true_accuracy": float(report.true_accuracy[-1]),
+        "modal_reward_constant_one": True,  # by construction of the majority reward
+    }
+    return report.converged and report.monotone and report.growth_ok, assertions
+
+
+def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    worked = preferred_mass_instance(WORKED_MASS)
+    try:
+        report = simulate_convergence(worked, flow)
+    except NonConvergence as exc:
+        return False, {"within_bound": False, "error": str(exc)}
+    proxy = [float(p @ worked.r_proxy) for p in report.probs]
+    _write_series(out / "series.jsonl", report, report.expected_true, proxy)
+
+    # hitting time vs initial preferred mass, as a columnar text table
+    sweep_ok = True
+    with open(out / "sweep.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"{'pi0_plus':>10} {'hit_time':>12} {'bound':>12} {'within':>8}\n")
+        for mass in SWEEP_MASSES:
+            instance = preferred_mass_instance(mass)
+            try:
+                run = report if mass == WORKED_MASS else simulate_convergence(instance, flow)
+                hit, within = run.hit_time, run.within_bound
+            except NonConvergence:
+                hit, within = float("nan"), False
+            sweep_ok = sweep_ok and within
+            fh.write(f"{mass:>10.4f} {hit:>12.4f} {instance.bound:>12.4f} {str(within):>8}\n")
+    assertions = {
+        "hit_time": float(report.hit_time),
+        "bound": float(report.bound),
+        "within_bound": report.within_bound,
+        "growth_bound": report.growth_ok,
+        "sweep_within_bound": sweep_ok,
+    }
+    return report.within_bound and report.growth_ok and sweep_ok, assertions
+
+
+def _elbo_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    model = random_latent_model(sim.n_latent, sim.n_outputs, np.random.default_rng(seed))
+    prior_report = verify_elbo(model, model.prior)
+    posterior_report = verify_elbo(model, model.posterior())
+    assertions = {
+        "prior_bound_holds": prior_report.holds,
+        "posterior_tight": posterior_report.tight,
+        "min_gap_prior": float(prior_report.gaps.min()),
+        "max_abs_gap_posterior": float(np.abs(posterior_report.gaps).max()),
+    }
+    return prior_report.holds and posterior_report.tight, assertions
+
+
+def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    rng = np.random.default_rng(seed)
+    ok = True
+    worst = 0.0
+    for _ in range(5):
+        n = int(rng.integers(2, 6))
+        policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
+        rewards = rng.random(n)
+        times, probs, _ = _run_flow(policy, flow, lambda p: rewards)
+        p0 = probs[0]
+        # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
+        for t, p in zip(times[1:], probs[1:]):
+            worst = max(worst, float((p / (p0 * np.exp(GROWTH_RATE * t))).max()))
+        ok = ok and growth_bound_satisfied(p0, times, probs)
+    return ok, {"growth_bound": ok, "worst_ratio_to_cap": worst}
+
+
+def _probe_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    report = probe_reward_perturbations(sim.n_groups, seed)
+    assertions = {
+        "groups_checked": report.groups_checked,
+        "violations": report.total_violations,
+        **{f"violations_{k}": v for k, v in report.violations.items()},
+    }
+    return report.total_violations == 0, assertions
+
+
+PRESETS = {
+    "collapse": _collapse_preset,
+    "convergence": _convergence_preset,
+    "elbo": _elbo_preset,
+    "growth-bound": _growth_preset,
+    "robustness-probe": _probe_preset,
+}
+
+
+def run_preset(sim, flow: FlowConfig, seed: int, out: Path) -> tuple[bool, dict]:
+    """Run the preset named by ``sim.preset``; return (passed, assertions).
+
+    ``sim`` is a run config's ``simulate`` section. Presets that produce
+    a series or a sweep table write it into ``out``.
+    """
+    if sim.preset not in PRESETS:
+        raise ValueError(f"unknown simulate preset {sim.preset!r}")
+    return PRESETS[sim.preset](sim, flow, seed, out)

@@ -268,8 +268,12 @@ def group_by_answer(batch: PromptBatch) -> list[AnswerGroup]:
     ]
 
 
-def read_trajectory_records(path) -> Iterator[dict]:
-    """Yield raw records from a line-delimited JSON trajectory file."""
+def read_trajectory_records(path, required=()) -> Iterator[dict]:
+    """Yield the records of a line-delimited JSON file.
+
+    A line that is not a JSON object, or lacks a ``required`` field, is a
+    ValueError naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -279,6 +283,11 @@ def read_trajectory_records(path) -> Iterator[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object but {type(rec).__name__}")
+            missing = set(required) - rec.keys()
+            if missing:
+                raise ValueError(f"{path}:{lineno}: missing fields {sorted(missing)}")
             yield rec
 
 
@@ -289,10 +298,8 @@ def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
     carry an optional boolean ``correct`` label.
     """
     batches: dict[str, PromptBatch] = {}
-    for rec in read_trajectory_records(path):
-        missing = {"prompt_id", "traj_id", "prompt_text", "response_text"} - rec.keys()
-        if missing:
-            raise ValueError(f"record {rec.get('traj_id')!r} missing fields {sorted(missing)}")
+    required = ("prompt_id", "traj_id", "prompt_text", "response_text")
+    for rec in read_trajectory_records(path, required):
         pid = str(rec["prompt_id"])
         traj = segment_trajectory(
             rec["response_text"],

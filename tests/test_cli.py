@@ -151,6 +151,8 @@ class TestExitCodes:
             "scorer: {source: toy\n",  # malformed YAML
             "- reward\n- simulate\n",  # a document that is not a mapping
             "segmentation:\n  min_chars: 3\n",  # unknown segmentation key
+            "seed: [1]\n",  # a top-level value of the wrong kind
+            "worker: 4\n",  # unknown top-level key
         ],
     )
     def test_bad_config_is_one_line_input_error(self, tmp_path, capsys, text):
@@ -159,6 +161,38 @@ class TestExitCodes:
         assert main(["segment", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:")
+        assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("segment", "[1, 2]", "not a JSON object but list"),
+            ("reward", '"text"', "not a JSON object but str"),
+            ("analyze-input", '{"traj_id": "t9"}', "missing fields ['response_text']"),
+            ("analyze-rewards", '{"traj_id": "t1", "vol": 0.5, "r_cur": 0.0}', "['con']"),
+            ("analyze-rewards", "[1]", "not a JSON object but list"),
+        ],
+    )
+    def test_malformed_jsonl_line_is_input_error(self, tmp_path, capsys, command, line, message):
+        good = {
+            "prompt_id": "p", "traj_id": "t0", "prompt_text": "q\n\n",
+            "response_text": "a b\n\nAnswer: 7", "con": 1.0, "vol": 0.0, "r_cur": 0.0,
+        }
+        good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good_path.write_text(json.dumps(good) + "\n")
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        out = str(tmp_path / "o")
+        if command == "analyze-input":
+            argv = ["analyze", "--input", str(path), "--rewards", str(good_path), "--out", out]
+        elif command == "analyze-rewards":
+            argv = ["analyze", "--rewards", str(path), "--out", out]
+        else:
+            argv = [command, "--input", str(path), "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ")
+        assert message in err
         assert err.count("\n") == 1
 
 
@@ -447,6 +481,49 @@ class TestSimulatePresets:
         assert assertions["growth_bound"] is True
         # at t = 0 the cap is pi_0 itself, which would pin the ratio to exactly 1
         assert 0.0 < assertions["worst_ratio_to_cap"] < 1.0
+
+    # captured from the per-preset flow loops that the shared loop replaced
+    @pytest.mark.parametrize(
+        "sim, code, expected",
+        [
+            (
+                {"preset": "collapse", "max_time": 20.0, "mode": "sampled",
+                 "pi0": [0.5, 0.3, 0.2], "kl_coefficient": 0.05, "record_every": 5},
+                5,
+                {"converged": False, "final_modal_prob": 0.9538485079211376,
+                 "final_true_accuracy": 0.02500406046710915, "growth_bound": True,
+                 "modal_reward_constant_one": True, "monotone": True},
+            ),
+            (
+                {"preset": "convergence", "max_time": 25.0, "integrator": "rk4",
+                 "step_size": 0.05, "record_every": 7},
+                0,
+                {"bound": 142.22222222222223, "growth_bound": True, "hit_time": 10.65,
+                 "sweep_within_bound": True, "within_bound": True},
+            ),
+            (
+                {"preset": "growth-bound", "max_time": 3.0, "integrator": "rk4",
+                 "kl_coefficient": 0.2},
+                0,
+                {"growth_bound": True, "worst_ratio_to_cap": 0.8319195725086993},
+            ),
+        ],
+        ids=["collapse", "convergence", "growth-bound"],
+    )
+    def test_flow_preset_assertions_pinned(self, tmp_path, sim, code, expected):
+        cfg_path = tmp_path / "sim.yaml"
+        cfg_path.write_text(yaml.safe_dump({"seed": 3, "simulate": sim}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == code
+        assert json.loads((out / "assertions.json").read_text()) == expected
+        if sim["preset"] == "convergence":
+            assert (out / "sweep.txt").read_text() == (
+                "  pi0_plus     hit_time        bound   within\n"
+                "    0.3000       5.8000     120.9373     True\n"
+                "    0.2000       6.5500     104.1667     True\n"
+                "    0.1000      10.6500     142.2222     True\n"
+                "    0.0500      19.2500     247.4506     True\n"
+            )
 
     def test_probe_preset_small(self, tmp_path):
         cfg = {"simulate": {"preset": "robustness-probe", "n_groups": 500}}

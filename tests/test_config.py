@@ -53,6 +53,10 @@ def test_int_accepted_where_default_is_float(tmp_path):
             "SegmentationRules field 'min_step_chars' must be int, not str",
         ),
         ("reward:\n  curiosity_weight: true\n", "field 'curiosity_weight' must be float, not bool"),
+        ("seed: [1]\n", "RunConfig field 'seed' must be int, not list"),
+        ("workers: 2.0\n", "RunConfig field 'workers' must be int, not float"),
+        ("worker: 4\n", "unknown RunConfig field 'worker'"),
+        ("imput: x.jsonl\n", "unknown RunConfig field 'imput'"),
     ],
 )
 def test_bad_config_is_one_line_value_error(tmp_path, text, message):

@@ -105,6 +105,51 @@ class TestFlowStep:
             assert (p > 0).all()
 
 
+def reference_flow_step(policy, rewards, config, ref_log_probs=None):
+    """flow_step with the derivative composed from the public gradients,
+    one TabularPolicy per evaluation."""
+    lam = config.kl_coefficient
+
+    def f(th):
+        grad = exact_policy_gradient(TabularPolicy(th), rewards)
+        if lam > 0.0 and ref_log_probs is not None:
+            grad = grad - lam * kl_gradient(TabularPolicy(th), ref_log_probs)
+        return grad
+
+    h, th = config.step_size, policy.logits
+    if config.integrator == "euler":
+        return th + h * f(th)
+    k1 = f(th)
+    k2 = f(th + 0.5 * h * k1)
+    k3 = f(th + 0.5 * h * k2)
+    k4 = f(th + h * k3)
+    return th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("kl", [False, True])
+def test_flow_step_equals_gradient_composition(integrator, kl):
+    rng = np.random.default_rng(2024 + 2 * kl + (integrator == "rk4"))
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        policy = TabularPolicy(rng.normal(scale=2.0, size=n))
+        rewards = rng.random(n)
+        ref = np.log(rng.dirichlet(np.ones(n))) if kl else None
+        cfg = FlowConfig(
+            step_size=float(rng.uniform(1e-3, 0.1)),
+            integrator=integrator,
+            kl_coefficient=float(rng.uniform(0.01, 2.0)) if kl else 0.0,
+        )
+        expected = reference_flow_step(policy, rewards, cfg, ref)
+        assert (flow_step(policy, rewards, cfg, ref_log_probs=ref).logits == expected).all()
+
+
+def test_checkpoints_at_record_every_and_last_step():
+    cfg = FlowConfig(step_size=0.1, max_time=2.0, integrator="euler", record_every=7)
+    report = simulate_collapse(TabularPolicy.from_probs([0.6, 0.4]), cfg, target=0.5)
+    assert report.times.tolist() == [0.0, 0.7000000000000001, 1.4000000000000001, 2.0]
+
+
 class TestCollapse:
     def test_exact_mode_reaches_target_monotonically(self):
         cfg = FlowConfig(step_size=1e-2, max_time=80, integrator="euler", record_every=10)

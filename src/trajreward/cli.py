@@ -19,32 +19,23 @@ from . import analysis
 from .config import RunConfig, apply_overrides, load_config
 from .distance import (
     batch_distance_matrices,
+    curiosity_reward,
     normalized_curve,
     read_matrices,
     score_plan,
     write_matrices,
 )
-from .errors import (
-    CacheMiss,
-    EmptyAnswer,
-    EmptyResponse,
-    MalformedResponse,
-    NoAnswerFound,
-    ServiceUnavailable,
-    TrajRewardError,
-)
-from .rewards import TrajectoryFeatures, assemble_rewards, curiosity_reward
+from .errors import ScorerError, TrajRewardError
+from .rewards import TrajectoryFeatures, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
 from .simulate import FlowConfig, run_preset
-from .trajectory import load_prompt_batches, read_trajectory_records
+from .trajectory import load_prompt_batches, read_jsonl
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCORER = 3
 EXIT_INTERNAL = 4
 EXIT_BOUND = 5
-
-SCORER_ERRORS = (CacheMiss, ServiceUnavailable, MalformedResponse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,10 +91,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(cfg, args)
-    except (OSError, ValueError, json.JSONDecodeError, EmptyAnswer) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SCORER_ERRORS as exc:
+    except ScorerError as exc:
         print(f"error: scorer: {exc}", file=sys.stderr)
         return EXIT_SCORER
     except (AssertionError, TrajRewardError) as exc:
@@ -121,10 +112,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _load_batches(cfg: RunConfig):
     if not cfg.input:
         raise ValueError("no input file (set --input or config input)")
-    try:
-        return load_prompt_batches(cfg.input, cfg.segmentation)
-    except (EmptyResponse, NoAnswerFound) as exc:
-        raise ValueError(f"bad trajectory record: {exc}") from exc
+    return load_prompt_batches(cfg.input, cfg.segmentation)
 
 
 def _build_scorer(cfg: RunConfig):
@@ -135,6 +123,8 @@ def _build_scorer(cfg: RunConfig):
         if not s.cache_path:
             raise ValueError("file scorer needs scorer.cache_path")
         return FileCacheScorer.load(s.cache_path)
+    if s.source != "http":
+        raise ValueError(f"unknown scorer source {s.source!r} (toy, file or http)")
     if s.cache_path and Path(s.cache_path).exists():
         cache = FileCacheScorer.load(s.cache_path)
     else:
@@ -217,7 +207,7 @@ def cmd_reward(cfg: RunConfig, args) -> int:
                 curiosity_weight=cfg.reward.curiosity_weight,
                 curiosities=curiosities,
             )
-        except SCORER_ERRORS as exc:
+        except ScorerError as exc:
             failures.append(
                 {"prompt_id": batch.prompt_id, "error": type(exc).__name__, "message": str(exc)}
             )
@@ -285,7 +275,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     if rewards_path:
         features, labels = [], []
-        for rec in read_trajectory_records(rewards_path, ("traj_id", "con", "vol", "r_cur")):
+        fields = {"traj_id": str, "con": float, "vol": float, "r_cur": float}
+        for rec in read_jsonl(rewards_path, fields):
             features.append(
                 TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
             )
@@ -304,7 +295,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         analysis.write_curve_table(rows, out / "curves.csv")
 
     if cfg.input:
-        records = read_trajectory_records(cfg.input, ("response_text",))
+        records = read_jsonl(cfg.input, {"response_text": str})
         responses = [rec["response_text"].split() for rec in records]
         if responses:
             metrics = analysis.diversity_metrics(responses)

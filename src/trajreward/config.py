@@ -11,11 +11,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
 from .rewards import CuriosityConfig
-from .trajectory import SegmentationRules
+from .trajectory import SegmentationRules, is_kind, kind_name
 
 
 @dataclass
@@ -52,7 +53,7 @@ class RewardConfig:
 @dataclass
 class SimulateConfig:
     preset: str = "collapse"  # collapse | convergence | elbo | growth-bound | robustness-probe
-    pi0: list = field(default_factory=lambda: [0.6, 0.4])
+    pi0: list[float] = field(default_factory=lambda: [0.6, 0.4])
     truth_index: int = 1
     mode: str = "exact"  # exact | sampled
     target: float = 0.99
@@ -89,30 +90,25 @@ class RunConfig:
 def _merge_section(cls, data):
     """``cls`` built from a config section, its sections built in turn.
 
-    An unknown field, or a value of another kind than the field's default
-    (an int is accepted where the default is a float; a None default
-    accepts anything), is a ValueError.
+    An unknown field, or a value whose kind differs from the field's
+    annotation (an int is accepted for a float), is a ValueError. A
+    section left empty (null) keeps its defaults.
     """
-    data = data or {}
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} section must be a mapping, not {type(data).__name__}")
-    defaults = cls()
-    fields = {f.name for f in dataclasses.fields(cls)}
+    kinds = get_type_hints(cls)
     values = {}
     for key, value in data.items():
-        if key not in fields:
+        if key not in kinds:
             raise ValueError(f"unknown {cls.__name__} field {key!r}")
-        default = getattr(defaults, key)
-        if dataclasses.is_dataclass(default):
-            value = _merge_section(type(default), value)
-        elif default is not None:
-            kinds = (int, float) if type(default) is float else type(default)
-            wrong_bool = isinstance(value, bool) and type(default) is not bool
-            if wrong_bool or not isinstance(value, kinds):
-                raise ValueError(
-                    f"{cls.__name__} field {key!r} must be {type(default).__name__}, "
-                    f"not {type(value).__name__}"
-                )
+        kind = kinds[key]
+        if dataclasses.is_dataclass(kind):
+            value = _merge_section(kind, {} if value is None else value)
+        elif not is_kind(value, kind):
+            raise ValueError(
+                f"{cls.__name__} field {key!r} must be {kind_name(kind)}, "
+                f"not {type(value).__name__}"
+            )
         values[key] = value
     return cls(**values)
 
@@ -133,13 +129,13 @@ def _parse_yaml(fh, path):
 
 def load_config(path: str | None) -> RunConfig:
     """Build a RunConfig from a YAML mapping (missing path: defaults)."""
-    data: dict = {}
+    data = None
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            data = _parse_yaml(fh, path) or {}
-        if not isinstance(data, dict):
+            data = _parse_yaml(fh, path)
+        if not isinstance(data, (dict, type(None))):
             raise ValueError(f"{path}: config must be a YAML mapping, not {type(data).__name__}")
-    return _merge_section(RunConfig, data)
+    return _merge_section(RunConfig, data or {})
 
 
 def apply_overrides(cfg: RunConfig, args) -> RunConfig:

@@ -16,8 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyAnswer, SingleAnswerBatch
+from .rewards import CuriosityConfig, step_curiosity
 from .scoring import LogProbSource, ScoreRequest, ScoreResponse, score_batch
-from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer
+from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer, read_jsonl
 
 
 @dataclass
@@ -69,6 +70,15 @@ def _candidates(batch: PromptBatch) -> list[tuple[Trajectory, tuple[str, ...]]]:
     ]
 
 
+def step_requests(traj: Trajectory) -> list[ScoreRequest]:
+    """Each non-blank reasoning step continued from the state before it."""
+    return [
+        ScoreRequest(traj.state_prefix(i), step.text)
+        for i, step in enumerate(traj.steps)
+        if step.text.strip()
+    ]
+
+
 def plan_requests(batch: PromptBatch, steps: bool) -> list[ScoreRequest]:
     """Every distinct score request a prompt batch needs, in first-use order.
 
@@ -87,9 +97,7 @@ def plan_requests(batch: PromptBatch, steps: bool) -> list[ScoreRequest]:
             reqs.update((ScoreRequest(prefix, answer), None) for answer in answers)
     if steps:
         for traj in batch.trajectories:
-            for i, step in enumerate(traj.steps):
-                if step.text.strip():
-                    reqs[ScoreRequest(traj.state_prefix(i), step.text)] = None
+            reqs.update((req, None) for req in step_requests(traj))
     return list(reqs)
 
 
@@ -120,6 +128,31 @@ def batch_distance_matrices(
         values = np.array([[distance_from_logprobs(lp) for lp in row] for row in rows])
         matrices[traj.traj_id] = DistanceMatrix(traj.traj_id, values, answers, traj.correct)
     return matrices
+
+
+def curiosity_reward(
+    traj: Trajectory,
+    scores: Mapping[ScoreRequest, ScoreResponse],
+    config: CuriosityConfig = CuriosityConfig(),
+) -> float:
+    """Mean step-transition curiosity over a trajectory.
+
+    Each reasoning step's tokens are scored as the continuation of the
+    preceding state; ``scores`` is the batch's scored plan (see
+    ``score_plan`` with steps on). Steps with no tokens are skipped. With
+    the "prefix" denominator the state length counts the prompt's
+    whitespace tokens plus all scored step tokens so far.
+    """
+    contributions = []
+    prefix_tokens = len(traj.prompt_text.split())
+    for req in step_requests(traj):
+        response = scores[req]
+        prefix_tokens += response.token_count
+        denom = prefix_tokens if config.denominator == "prefix" else None
+        contributions.append(step_curiosity(response.token_logprobs, denom, config.sign))
+    if not contributions:
+        return 0.0
+    return sum(contributions) / len(contributions)
 
 
 def normalized_curve(matrix: DistanceMatrix) -> NormalizedCurve:
@@ -158,19 +191,15 @@ def write_matrices(matrices, path) -> None:
 
 
 def read_matrices(path) -> list[DistanceMatrix]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(
-                DistanceMatrix(
-                    rec["traj_id"],
-                    np.array(rec["rows"], dtype=float),
-                    tuple(rec["answer_order"]),
-                    rec.get("correct"),
-                )
-            )
-    return out
+    """Matrices exported by ``write_matrices``; a malformed line is an InputError."""
+    fields = {"traj_id": str, "rows": list[list[float]], "answer_order": list[str]}
+    return list(read_jsonl(path, fields, _matrix_record))
+
+
+def _matrix_record(rec: dict) -> DistanceMatrix:
+    rows = rec["rows"]
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rows must be a non-empty rectangular table")
+    return DistanceMatrix(
+        rec["traj_id"], np.array(rows, dtype=float), tuple(rec["answer_order"]), rec.get("correct")
+    )

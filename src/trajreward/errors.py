@@ -5,27 +5,35 @@ class TrajRewardError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyResponse(TrajRewardError):
+class InputError(TrajRewardError, ValueError):
+    """An input record the package cannot use; the CLI exits 2."""
+
+
+class ScorerError(TrajRewardError):
+    """A log-probability source failed or broke its contract; the CLI exits 3."""
+
+
+class EmptyResponse(InputError):
     """Response text was empty or whitespace-only."""
 
 
-class NoAnswerFound(TrajRewardError):
+class NoAnswerFound(InputError):
     """The final-answer pattern never matched and fallback was disabled."""
 
 
-class EmptyAnswer(TrajRewardError):
+class EmptyAnswer(InputError):
     """A candidate answer canonicalized to the empty string."""
 
 
-class CacheMiss(TrajRewardError):
+class CacheMiss(ScorerError):
     """A score request was not present in the file cache."""
 
 
-class ServiceUnavailable(TrajRewardError):
+class ServiceUnavailable(ScorerError):
     """The HTTP scoring service failed after the configured retries."""
 
 
-class MalformedResponse(TrajRewardError):
+class MalformedResponse(ScorerError):
     """A scorer returned a response that violates the score contract."""
 
 

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .distance import DistanceMatrix
 from .errors import EmptyGroup, MissingMatrix
-from .scoring import ScoreRequest, ScoreResponse
-from .trajectory import PromptBatch, Trajectory, group_by_answer
+from .trajectory import PromptBatch, group_by_answer
 
 ADVANTAGE_EPS = 1e-8
 
@@ -95,7 +93,8 @@ def volatility(values) -> float:
     return last / total if last >= 0 else 0.0
 
 
-def trajectory_features(matrix: DistanceMatrix, curiosity: float = 0.0) -> TrajectoryFeatures:
+def trajectory_features(matrix, curiosity: float = 0.0) -> TrajectoryFeatures:
+    """Features of a ``distance.DistanceMatrix``."""
     return TrajectoryFeatures(
         matrix.traj_id,
         consistency(matrix.values),
@@ -152,25 +151,29 @@ class CuriosityConfig:
             raise ValueError(f"unknown curiosity denominator {self.denominator!r}")
 
 
-def step_curiosity(token_logprobs, denominator_tokens: int | None = None) -> float:
-    """Curiosity contribution of one step under the default distance sign.
+def step_curiosity(
+    token_logprobs, denominator_tokens: int | None = None, sign: str = "eq10"
+) -> float:
+    """Curiosity contribution of one step.
 
-    mean(-logprob) - ln(KL(P, U) + 1), with P the step's chosen-token
-    probabilities normalized to sum 1 and U uniform over the step length.
+    The step's distance minus ln(KL(P, U) + 1), with P the step's
+    chosen-token probabilities normalized to sum 1 and U uniform over the
+    step length. The distance is the summed logprob over
+    ``denominator_tokens`` (default: the step's token count), negated
+    under the "eq10" sign (see ``CuriosityConfig``).
     """
-    return _step_term(token_logprobs, sign="eq10", denom=denominator_tokens)
-
-
-def _step_term(token_logprobs, sign: str, denom: int | None) -> float:
-    m = len(token_logprobs)
     total = sum(token_logprobs)
-    n = denom if denom is not None else m
+    n = denominator_tokens if denominator_tokens is not None else len(token_logprobs)
     distance = total / n if sign == "alg2" else (0.0 - total) / n
     return distance - math.log1p(_kl_to_uniform(token_logprobs))
 
 
 def _kl_to_uniform(token_logprobs) -> float:
     probs = [math.exp(lp) for lp in token_logprobs]
+    if not any(probs):
+        # every probability underflowed; shifting by the top logprob leaves q unchanged
+        top = max(token_logprobs)
+        probs = [math.exp(lp - top) for lp in token_logprobs]
     mass = sum(probs)
     m = len(probs)
     kl = 0.0
@@ -179,34 +182,6 @@ def _kl_to_uniform(token_logprobs) -> float:
         if q > 0.0:
             kl += q * math.log(q * m)
     return kl
-
-
-def curiosity_reward(
-    traj: Trajectory,
-    scores: Mapping[ScoreRequest, ScoreResponse],
-    config: CuriosityConfig = CuriosityConfig(),
-) -> float:
-    """Mean step-transition curiosity over a trajectory.
-
-    Each reasoning step's tokens are scored as the continuation of the
-    preceding state; ``scores`` is the batch's scored plan (see
-    ``distance.score_plan`` with steps on). Steps with no tokens are
-    skipped. With the "prefix" denominator the state length counts the
-    prompt's whitespace tokens plus all scored step tokens so far.
-    """
-    contributions = []
-    prefix_tokens = len(traj.prompt_text.split())
-    for i in range(traj.num_steps):
-        step_text = traj.steps[i].text
-        if not step_text.strip():
-            continue
-        response = scores[ScoreRequest(traj.state_prefix(i), step_text)]
-        prefix_tokens += response.token_count
-        denom = prefix_tokens if config.denominator == "prefix" else None
-        contributions.append(_step_term(response.token_logprobs, config.sign, denom))
-    if not contributions:
-        return 0.0
-    return sum(contributions) / len(contributions)
 
 
 def normalize_advantages(rewards: Sequence[float]) -> list[float]:
@@ -222,13 +197,14 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
 
 def assemble_rewards(
     batch: PromptBatch,
-    matrices: Mapping[str, DistanceMatrix],
+    matrices: Mapping,
     variant: str = "vector",
     curiosity_weight: float = 1.0,
     curiosities: Mapping[str, float] | None = None,
 ) -> RewardReport:
     """Combine group rewards and curiosity into per-trajectory totals.
 
+    ``matrices`` maps each traj_id to its ``distance.DistanceMatrix``.
     Every trajectory inherits its answer group's intrinsic reward (the
     chosen variant) plus its own weighted curiosity; advantages are
     normalized over the whole batch. A batch whose answers all agree has

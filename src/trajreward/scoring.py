@@ -25,6 +25,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import CacheMiss, MalformedResponse, ServiceUnavailable
+from .trajectory import check_fields, read_jsonl
 
 BOS = "<s>"
 SCORER_URL_ENV = "TRAJREWARD_SCORER_URL"
@@ -191,14 +192,17 @@ class ToyModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ToyModel":
-        model = cls(
-            cfg["vocabulary"],
-            order=cfg.get("order", 2),
-            seed=cfg.get("seed", 0),
-            init=cfg.get("init", "dirichlet"),
-        )
-        for b in cfg.get("boosts", ()):
-            model.boost(b["context"], b["token"], b["delta"])
+        """The model ``to_config`` describes; a missing or mistyped entry is a ValueError."""
+        cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
+        try:
+            kinds = {"order": int, "seed": int, "init": str, "boosts": list[dict]}
+            check_fields(cfg, {"vocabulary": list[str], **kinds})
+            model = cls(cfg["vocabulary"], order=cfg["order"], seed=cfg["seed"], init=cfg["init"])
+            for b in cfg["boosts"]:
+                check_fields(b, {"context": list[str], "token": str, "delta": float})
+                model.boost(b["context"], b["token"], b["delta"])
+        except ValueError as exc:
+            raise ValueError(f"scorer.toy: {exc}") from exc
         return model
 
 
@@ -216,26 +220,12 @@ class FileCacheScorer:
 
     @classmethod
     def load(cls, path) -> "FileCacheScorer":
-        """Read a cache file; a line that is not a cache entry is a ValueError."""
-        entries = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = rec["key"]
-                    logprobs = tuple(float(x) for x in rec["token_logprobs"])
-                    if not isinstance(key, str):
-                        raise TypeError("key is not a string")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: not a cache entry "
-                        f'{{"key", "token_logprobs"}}: {line[:80]}'
-                    ) from exc
-                entries[key] = logprobs
-        return cls(entries)
+        """Read a cache file; a line that is not a cache entry is an InputError."""
+        fields = {"key": str, "token_logprobs": list[float]}
+        entries = read_jsonl(
+            path, fields, lambda rec: (rec["key"], tuple(float(x) for x in rec["token_logprobs"]))
+        )
+        return cls(dict(entries))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:

@@ -92,6 +92,8 @@ class FlowConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.kl_coefficient < 0:
             raise ValueError("kl_coefficient must be >= 0")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
 
 def flow_step(
@@ -204,6 +206,9 @@ def simulate_collapse(
         raise ValueError("collapse needs at least two outputs")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown collapse mode {mode!r}")
+    n = len(policy0.logits)
+    if truth_index is not None and not 0 <= truth_index < n:
+        raise ValueError(f"truth_index {truth_index} is not one of the {n} outputs")
     rng = np.random.default_rng(config.seed)
 
     def majority_reward(p):

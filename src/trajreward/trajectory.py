@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator, Mapping, get_args, get_origin
 
-from .errors import EmptyResponse, NoAnswerFound
+from .errors import EmptyResponse, InputError, NoAnswerFound
 
 DEFAULT_DELIMITER = r"\n\s*\n"
 DEFAULT_ANSWER_PATTERN = r"\\boxed\{(.+?)\}|[Aa]nswer:\s*(.+)"
@@ -44,6 +45,13 @@ class SegmentationRules:
     min_step_chars: int = 2
     answer_pattern: str = DEFAULT_ANSWER_PATTERN
     use_last_step_fallback: bool = True
+
+    def __post_init__(self):
+        for name in ("delimiter", "answer_pattern"):
+            try:
+                re.compile(getattr(self, name))
+            except re.error as exc:
+                raise ValueError(f"segmentation {name} is not a regex: {exc}") from exc
 
 
 @dataclass
@@ -268,49 +276,91 @@ def group_by_answer(batch: PromptBatch) -> list[AnswerGroup]:
     ]
 
 
-def read_trajectory_records(path, required=()) -> Iterator[dict]:
-    """Yield the records of a line-delimited JSON file.
+def is_kind(value, kind) -> bool:
+    """Whether a parsed JSON or YAML value has ``kind``.
 
-    A line that is not a JSON object, or lacks a ``required`` field, is a
-    ValueError naming the file and line.
+    ``kind`` is a type, ``list[T]`` or a union such as ``str | None``. An
+    int within float range counts as a float; a bool counts only as a bool.
+    """
+    if type(kind) is not type:
+        if get_origin(kind) is list:
+            (item,) = get_args(kind)
+            return isinstance(value, list) and all(is_kind(v, item) for v in value)
+        return any(is_kind(value, k) for k in get_args(kind))
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def kind_name(kind) -> str:
+    return str(kind) if get_args(kind) else kind.__name__
+
+
+def check_fields(record: dict, fields: Mapping[str, Any]) -> None:
+    """ValueError unless ``record`` has each field of ``fields`` with its kind."""
+    missing = fields.keys() - record.keys()
+    if missing:
+        raise ValueError(f"missing fields {sorted(missing)}")
+    for name, kind in fields.items():
+        if not is_kind(record[name], kind):
+            raise ValueError(
+                f"field {name!r} must be {kind_name(kind)}, not {type(record[name]).__name__}"
+            )
+
+
+def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict) -> Iterator:
+    """Yield ``build(record)`` for each record of a line-delimited JSON file.
+
+    Each record must be a JSON object with the ``fields`` kinds (see
+    ``check_fields``). A line that is not, or on which ``build`` raises a
+    ValueError, is an InputError naming the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise InputError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict):
-                raise ValueError(f"{path}:{lineno}: not a JSON object but {type(rec).__name__}")
-            missing = set(required) - rec.keys()
-            if missing:
-                raise ValueError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            yield rec
+                raise InputError(f"{where}: not a JSON object but {type(rec).__name__}")
+            try:
+                check_fields(rec, fields)
+                item = build(rec)
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from exc
+            yield item
 
 
 def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
     """Read and segment a JSONL trajectory file into per-prompt batches.
 
-    Records need {prompt_id, traj_id, prompt_text, response_text} and may
-    carry an optional boolean ``correct`` label.
+    Records need string or integer {prompt_id, traj_id}, string
+    {prompt_text, response_text} and may carry an optional boolean
+    ``correct`` label. A bad record, or a response that cannot be
+    segmented, is an InputError naming the file and line.
     """
-    batches: dict[str, PromptBatch] = {}
-    required = ("prompt_id", "traj_id", "prompt_text", "response_text")
-    for rec in read_trajectory_records(path, required):
-        pid = str(rec["prompt_id"])
-        traj = segment_trajectory(
+    ids = str | int
+    fields = {"prompt_id": ids, "traj_id": ids, "prompt_text": str, "response_text": str}
+
+    def build(rec: dict) -> Trajectory:
+        return segment_trajectory(
             rec["response_text"],
             rules,
-            prompt_id=pid,
+            prompt_id=str(rec["prompt_id"]),
             traj_id=str(rec["traj_id"]),
             prompt_text=rec["prompt_text"],
             correct=rec.get("correct"),
         )
-        batch = batches.setdefault(pid, PromptBatch(pid, rec["prompt_text"]))
-        if batch.prompt_text != rec["prompt_text"]:
-            raise ValueError(f"prompt_id {pid!r} maps to two different prompt texts")
+
+    batches: dict[str, PromptBatch] = {}
+    for traj in read_jsonl(path, fields, build):
+        batch = batches.setdefault(traj.prompt_id, PromptBatch(traj.prompt_id, traj.prompt_text))
+        if batch.prompt_text != traj.prompt_text:
+            raise ValueError(f"prompt_id {traj.prompt_id!r} maps to two different prompt texts")
         batch.trajectories.append(traj)
     return list(batches.values())

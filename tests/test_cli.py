@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from trajreward.cli import main
 from trajreward.planted import PlantedSpec, planted_model, planted_records
@@ -32,6 +35,11 @@ def planted_setup(tmp_path):
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     return cfg_path, tmp_path
+
+
+GOOD_TRAJECTORY = {
+    "prompt_id": "p", "traj_id": "t0", "prompt_text": "q\n\n", "response_text": "a b\n\nAnswer: 7"
+}
 
 
 def read_lines(path):
@@ -153,6 +161,11 @@ class TestExitCodes:
             "segmentation:\n  min_chars: 3\n",  # unknown segmentation key
             "seed: [1]\n",  # a top-level value of the wrong kind
             "worker: 4\n",  # unknown top-level key
+            "input: [a]\n",  # a None default does not accept any kind
+            "simulate: []\n",  # a falsy section of the wrong kind
+            "scorer: 0\n",
+            'reward: ""\n',
+            "segmentation:\n  delimiter: '('\n",  # not a regex
         ],
     )
     def test_bad_config_is_one_line_input_error(self, tmp_path, capsys, text):
@@ -161,6 +174,34 @@ class TestExitCodes:
         assert main(["segment", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("simulate", "simulate: {record_every: 0}\n", "record_every must be >= 1"),
+            ("simulate", "simulate: {truth_index: 5}\n", "truth_index 5 is not one of the 2"),
+            ("reward", "scorer: {toy: {}}\n", "scorer.toy: missing fields ['vocabulary']"),
+            (
+                "reward",
+                "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], delta: 1}]}}\n",
+                "scorer.toy: missing fields ['token']",
+            ),
+            ("reward", "scorer: {source: tyo}\n", "unknown scorer source 'tyo'"),
+        ],
+    )
+    def test_bad_config_value_is_one_line_input_error(
+        self, tmp_path, capsys, command, text, message
+    ):
+        # values of the right kind that the code owning them rejects
+        trajectories = tmp_path / "in.jsonl"
+        write_jsonl(trajectories, [GOOD_TRAJECTORY])
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(text)
+        argv = [command, "--config", str(cfg_path), "--input", str(trajectories)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
 
@@ -172,13 +213,40 @@ class TestExitCodes:
             ("analyze-input", '{"traj_id": "t9"}', "missing fields ['response_text']"),
             ("analyze-rewards", '{"traj_id": "t1", "vol": 0.5, "r_cur": 0.0}', "['con']"),
             ("analyze-rewards", "[1]", "not a JSON object but list"),
+            (
+                "segment",
+                '{"prompt_id": "p", "traj_id": "t1", "prompt_text": "q", "response_text": 5}',
+                "field 'response_text' must be str, not int",
+            ),
+            (
+                "reward",
+                '{"prompt_id": "p", "traj_id": "t1", "prompt_text": "q", "response_text": " "}',
+                "empty response for traj 't1'",
+            ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": "x", "vol": 0.5, "r_cur": 0.0}',
+                "field 'con' must be float, not str",
+            ),
+            ("analyze-matrices", '{"traj_id": "t1", "answer_order": []}', "missing fields ['rows']"),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0], [3.0]]}',
+                "rows must be a non-empty rectangular table",
+            ),
+            (
+                "cache",
+                '{"key": "k", "token_logprobs": ["x"]}',
+                "field 'token_logprobs' must be list[float], not list",
+            ),
         ],
     )
     def test_malformed_jsonl_line_is_input_error(self, tmp_path, capsys, command, line, message):
-        good = {
-            "prompt_id": "p", "traj_id": "t0", "prompt_text": "q\n\n",
-            "response_text": "a b\n\nAnswer: 7", "con": 1.0, "vol": 0.0, "r_cur": 0.0,
-        }
+        # one line that every reader accepts, so line 2 is the first bad one
+        good = dict(
+            GOOD_TRAJECTORY, con=1.0, vol=0.0, r_cur=0.0, rows=[[0.5, 1.0]],
+            answer_order=["7", "8"], key="k", token_logprobs=[-1.0],
+        )
         good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         good_path.write_text(json.dumps(good) + "\n")
         path.write_text(json.dumps(good) + "\n" + line + "\n")
@@ -187,6 +255,13 @@ class TestExitCodes:
             argv = ["analyze", "--input", str(path), "--rewards", str(good_path), "--out", out]
         elif command == "analyze-rewards":
             argv = ["analyze", "--rewards", str(path), "--out", out]
+        elif command == "analyze-matrices":
+            argv = ["analyze", "--matrices", str(path), "--out", out]
+        elif command == "cache":
+            cfg_path = tmp_path / "file.yaml"
+            cfg = {"scorer": {"source": "file", "cache_path": str(path)}}
+            cfg_path.write_text(yaml.safe_dump(cfg))
+            argv = ["reward", "--config", str(cfg_path), "--input", str(good_path), "--out", out]
         else:
             argv = [command, "--input", str(path), "--out", out]
         assert main(argv) == 2
@@ -194,6 +269,111 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}:2: ")
         assert message in err
         assert err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FLOATS = st.floats() | st.integers()
+
+
+def jsonl_lines(fields):
+    """Either records whose ``fields`` follow their strategies, or lines of
+    arbitrary text, arbitrary JSON and records with arbitrary field values."""
+    optional = {"correct": JSON_VALUES}
+    typed = st.fixed_dictionaries(fields, optional=optional).map(json.dumps)
+    loose = st.fixed_dictionaries(
+        {name: values | JSON_VALUES for name, values in fields.items()}, optional=optional
+    ).map(json.dumps)
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")
+    text = st.text(chars, max_size=20)
+    any_line = st.one_of(typed, loose, text, JSON_VALUES.map(json.dumps))
+    return st.lists(typed, min_size=1, max_size=4) | st.lists(any_line, min_size=1, max_size=4)
+
+
+class TestArbitraryJsonlLines:
+    """Whatever a JSONL input holds, a command exits 0, 2 or 3 with at most
+    one line on stderr, and no exception escapes ``main``."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("arbitrary")
+        write_jsonl(base / "good.jsonl", [GOOD_TRAJECTORY])
+        good = str(base / "good.jsonl")
+        assert main(["score", "--input", good, "--out", str(base / "scored")]) == 0
+        cfg = {"scorer": {"source": "file", "cache_path": str(base / "cache.jsonl")}}
+        (base / "file.yaml").write_text(yaml.safe_dump(cfg))
+        return base
+
+    @staticmethod
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") <= 1
+
+    @staticmethod
+    def write(path, lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["segment", "reward"]),
+        lines=jsonl_lines(
+            {
+                "prompt_id": st.text(max_size=2) | st.integers(),
+                "traj_id": st.text(max_size=2) | st.integers(),
+                "prompt_text": st.text(max_size=8),
+                "response_text": st.text("ab7 \n:Answer{}\\", max_size=30),
+            }
+        ),
+    )
+    def test_trajectory_input(self, workdir, command, lines):
+        self.write(workdir / "in.jsonl", lines)
+        self.run([command, "--input", str(workdir / "in.jsonl"), "--out", str(workdir / "o")])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lines=jsonl_lines(
+            {"traj_id": st.text(max_size=2), "con": FLOATS, "vol": FLOATS, "r_cur": FLOATS}
+        )
+    )
+    def test_rewards_export(self, workdir, lines):
+        path = workdir / "rewards.jsonl"
+        self.write(path, lines)
+        self.run(["analyze", "--rewards", str(path), "--out", str(workdir / "o")])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lines=jsonl_lines(
+            {
+                "traj_id": st.text(max_size=2),
+                "rows": st.lists(st.lists(FLOATS, max_size=3), max_size=3),
+                "answer_order": st.lists(st.text(max_size=2), max_size=3),
+            }
+        )
+    )
+    def test_matrices_export(self, workdir, lines):
+        path = workdir / "matrices.jsonl"
+        self.write(path, lines)
+        self.run(["analyze", "--matrices", str(path), "--out", str(workdir / "o")])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_score_cache(self, workdir, data):
+        keys = [rec["key"] for rec in read_lines(workdir / "scored" / "cache.jsonl")]
+        fields = {
+            "key": st.sampled_from(keys) | st.text(max_size=4),
+            "token_logprobs": st.lists(FLOATS, max_size=3),
+        }
+        self.write(workdir / "cache.jsonl", data.draw(jsonl_lines(fields)))
+        cfg, good = str(workdir / "file.yaml"), str(workdir / "good.jsonl")
+        self.run(["reward", "--config", cfg, "--input", good, "--out", str(workdir / "o")])
 
 
 class _CountingScoreHandler(BaseHTTPRequestHandler):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -20,6 +22,12 @@ def test_missing_path_gives_defaults():
 def test_empty_document_gives_defaults(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
+    assert load_config(str(path)) == RunConfig()
+
+
+def test_null_section_keeps_defaults(tmp_path):
+    path = tmp_path / "null.yaml"
+    path.write_text("simulate:\nscorer:\n")
     assert load_config(str(path)) == RunConfig()
 
 
@@ -57,11 +65,23 @@ def test_int_accepted_where_default_is_float(tmp_path):
         ("workers: 2.0\n", "RunConfig field 'workers' must be int, not float"),
         ("worker: 4\n", "unknown RunConfig field 'worker'"),
         ("imput: x.jsonl\n", "unknown RunConfig field 'imput'"),
+        ("[]\n", "must be a YAML mapping, not list"),
+        ("0\n", "must be a YAML mapping, not int"),
+        ("input: [a]\n", "RunConfig field 'input' must be str | None, not list"),
+        ("scorer:\n  cache_path: [a]\n", "field 'cache_path' must be str | None, not list"),
+        ("scorer:\n  base_url: 5\n", "field 'base_url' must be str | None, not int"),
+        ("simulate: []\n", "SimulateConfig section must be a mapping, not list"),
+        ("scorer: 0\n", "ScorerConfig section must be a mapping, not int"),
+        ('reward: ""\n', "RewardConfig section must be a mapping, not str"),
+        ("simulate:\n  pi0: [0.5, x]\n", "field 'pi0' must be list[float], not list"),
+        ("simulate:\n  max_time: " + "9" * 400 + "\n", "field 'max_time' must be float, not int"),
+        ("segmentation:\n  delimiter: '('\n", "segmentation delimiter is not a regex"),
+        ("segmentation:\n  answer_pattern: '['\n", "segmentation answer_pattern is not a regex"),
     ],
 )
 def test_bad_config_is_one_line_value_error(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         load_config(str(path))
     assert "\n" not in str(info.value)

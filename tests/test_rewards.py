@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajreward.distance import batch_distance_matrices, score_plan
+from trajreward.distance import batch_distance_matrices, curiosity_reward, score_plan
 from trajreward.errors import EmptyGroup, MissingMatrix
 from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import (
@@ -13,7 +13,6 @@ from trajreward.rewards import (
     TrajectoryFeatures,
     assemble_rewards,
     consistency,
-    curiosity_reward,
     linear_group_reward,
     normalize_advantages,
     step_curiosity,
@@ -184,6 +183,12 @@ class TestStepCuriosity:
         assert value == pytest.approx(expected, abs=1e-12)
         assert kl == pytest.approx(0.36004, abs=1e-4)
         assert value == pytest.approx(1.0258, abs=1e-4)
+
+    def test_underflowing_probabilities(self):
+        # exp(-800) is 0.0 in floating point, yet the step's KL term is that of [0, -1]
+        assert step_curiosity([-800.0]) == 800.0
+        shifted = step_curiosity([-800.0, -801.0]) - 800.5
+        assert shifted == pytest.approx(step_curiosity([0.0, -1.0]) - 0.5, abs=1e-12)
 
 
 class StepScorer:

@@ -291,6 +291,7 @@ class TestFileCache:
             '{"key": "k"}',
             '{"key": 3, "token_logprobs": [-1.0]}',
             '{"key": "k", "token_logprobs": 5}',
+            '{"key": "k", "token_logprobs": [-1.0, "x"]}',
             # the per-trajectory format written before the cache was content-addressed
             '{"continuation_id": "7", "kind": "answer", "prompt_id": "p", "state_index": 0, '
             '"token_logprobs": [-1.0], "traj_id": "t"}',

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -319,3 +322,11 @@ class TestElbo:
         model = LatentTabularModel(prior=[0.5, 0.5], conditional=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             verify_elbo(model, np.array([1.0, 0.0]))
+
+
+def test_simulator_does_not_import_the_scoring_stack():
+    stack = ["trajreward.scoring", "trajreward.distance", "http.client", "concurrent.futures"]
+    code = f"import sys, trajreward.simulate; print([m for m in {stack!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -266,6 +266,15 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
+    """A rewards-export record as (features, correct label)."""
+    for name in ("con", "vol"):
+        if not 0.0 <= rec[name] <= 1.0:  # fractions by construction; NaN fails too
+            raise ValueError(f"{name} {rec[name]!r} is outside [0, 1]")
+    features = TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
+    return features, rec.get("correct")
+
+
 def cmd_analyze(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     rewards_path = getattr(args, "rewards", None)
@@ -274,13 +283,10 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         raise ValueError("analyze needs --rewards and/or --matrices exports")
 
     if rewards_path:
-        features, labels = [], []
         fields = {"traj_id": str, "con": float, "vol": float, "r_cur": float}
-        for rec in read_jsonl(rewards_path, fields):
-            features.append(
-                TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
-            )
-            labels.append(rec.get("correct"))
+        records = list(read_jsonl(rewards_path, fields, _labelled_features))
+        features = [feature for feature, _ in records]
+        labels = [label for _, label in records]
         if not features:
             raise ValueError(f"no reward records in {rewards_path}")
         stats = analysis.feature_statistics(features, labels)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import exp, log
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,11 @@ from .probes import probe_reward_perturbations
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+def softmax(logits: list[float]) -> list[float]:
+    top = max(logits)
+    shifted = [exp(x - top) for x in logits]
+    total = sum(shifted)
+    return [s / total for s in shifted]
 
 
 @dataclass
@@ -42,23 +46,36 @@ class TabularPolicy:
 
     @property
     def probs(self) -> np.ndarray:
-        return softmax(self.logits)
+        return np.array(softmax(_floats(self.logits)))
 
 
-def _tangent(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _expectation(p: list[float], f: list[float]) -> float:
+    """E_p[f], summed in output order."""
+    return sum(map(mul, p, f))
+
+
+def _tangent(p: list[float], f: list[float]) -> list[float]:
     """Logit gradient of E_p[f] for a fixed f; components sum to zero."""
-    return p * (f - float(p @ f))
+    mean = _expectation(p, f)
+    return [a * (b - mean) for a, b in zip(p, f)]
+
+
+def _kl_tangent(p: list[float], ref_log_probs: list[float]) -> list[float]:
+    return _tangent(p, [log(a) - b for a, b in zip(p, ref_log_probs)])
 
 
 def exact_policy_gradient(policy: TabularPolicy, rewards: np.ndarray) -> np.ndarray:
     """Exact objective gradient: component y is pi(y) * (r(y) - E_pi[r])."""
-    return _tangent(policy.probs, np.asarray(rewards, dtype=float))
+    return np.array(_tangent(softmax(_floats(policy.logits)), _floats(rewards)))
 
 
 def kl_gradient(policy: TabularPolicy, ref_log_probs: np.ndarray) -> np.ndarray:
     """Gradient of KL(pi_theta || pi_ref) with respect to the logits."""
-    p = policy.probs
-    return _tangent(p, np.log(p) - ref_log_probs)
+    return np.array(_kl_tangent(softmax(_floats(policy.logits)), _floats(ref_log_probs)))
 
 
 def policy_velocity(probs: np.ndarray, rewards: np.ndarray) -> np.ndarray:
@@ -97,53 +114,59 @@ class FlowConfig:
 
 
 def flow_step(
-    policy: TabularPolicy,
-    rewards: np.ndarray,
+    logits: list[float],
+    probs: list[float],
+    rewards: list[float],
     config: FlowConfig,
-    ref_log_probs: np.ndarray | None = None,
-) -> TabularPolicy:
-    """Advance the logits one step along d theta / dt = grad J (- lam grad KL)."""
+    ref_log_probs: list[float] | None = None,
+) -> tuple[list[float], list[float]]:
+    """Advance the logits one step along d theta / dt = grad J (- lam grad KL).
+
+    ``probs`` is softmax(logits). Returns the new logits and their softmax.
+    """
     h = config.step_size
     lam = config.kl_coefficient
-    r = np.asarray(rewards, dtype=float)
     with_kl = lam > 0.0 and ref_log_probs is not None
 
-    def f(th):
-        p = softmax(th)
-        grad = _tangent(p, r)
+    def f(p):
+        grad = _tangent(p, rewards)
         if with_kl:
-            grad = grad - lam * _tangent(p, np.log(p) - ref_log_probs)
+            grad = [g - lam * k for g, k in zip(grad, _kl_tangent(p, ref_log_probs))]
         return grad
 
-    th = policy.logits
     if config.integrator == "euler":
-        new = th + h * f(th)
+        new = [t + h * k for t, k in zip(logits, f(probs))]
     else:
-        k1 = f(th)
-        k2 = f(th + 0.5 * h * k1)
-        k3 = f(th + 0.5 * h * k2)
-        k4 = f(th + h * k3)
-        new = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return TabularPolicy(new)
+        half = 0.5 * h
+        k1 = f(probs)
+        k2 = f(softmax([t + half * k for t, k in zip(logits, k1)]))
+        k3 = f(softmax([t + half * k for t, k in zip(logits, k2)]))
+        k4 = f(softmax([t + h * k for t, k in zip(logits, k3)]))
+        sixth = h / 6.0
+        new = [
+            t + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for t, a, b, c, d in zip(logits, k1, k2, k3, k4)
+        ]
+    return new, softmax(new)
 
 
 def _run_flow(policy: TabularPolicy, config: FlowConfig, rewards_at, stop=None):
     """Integrate the flow from ``policy`` with the KL reference at log pi_0.
 
     Runs round(max_time / step_size) steps; ``rewards_at(p)`` is the
-    reward vector at probabilities p, and the run ends at the first step
-    after t = 0 whose probabilities satisfy ``stop(p)``. Returns arrays
-    (times, probs, rewards) at the checkpoints: t = 0, every
+    reward list at the probability list p, and the run ends at the first
+    step after t = 0 whose probabilities satisfy ``stop(p)``. Returns
+    arrays (times, probs, rewards) at the checkpoints: t = 0, every
     ``record_every``-th step, the last step and a stopping step.
     """
     steps = int(round(config.max_time / config.step_size))
-    p = policy.probs
-    ref_log_probs = np.log(p)
+    logits = _floats(policy.logits)
+    p = softmax(logits)
+    ref_log_probs = [log(a) for a in p]
     r = rewards_at(p)
     checkpoints = [(0.0, p, r)]
     for step in range(1, steps + 1):
-        policy = flow_step(policy, r, config, ref_log_probs=ref_log_probs)
-        p = policy.probs
+        logits, p = flow_step(logits, p, r, config, ref_log_probs)
         r = rewards_at(p)
         stopped = stop is not None and stop(p)
         if stopped or step % config.record_every == 0 or step == steps:
@@ -213,11 +236,11 @@ def simulate_collapse(
 
     def majority_reward(p):
         if mode == "exact":
-            star = int(np.argmax(p))
+            star = p.index(max(p))
         else:
             draws = rng.choice(len(p), size=config.sample_count, p=p)
             star = int(np.argmax(np.bincount(draws, minlength=len(p))))
-        rewards = np.zeros(len(p))
+        rewards = [0.0] * len(p)
         rewards[star] = 1.0
         return rewards
 
@@ -366,15 +389,17 @@ def simulate_convergence(instance: ConvergenceInstance, config: FlowConfig) -> C
     """
     instance.validate()
     rho = instance.rho
+    r_true, r_proxy = _floats(instance.r_true), _floats(instance.r_proxy)
     policy = TabularPolicy.from_probs(instance.probs0)
     if instance.gamma == 0.0:
         times, probs = np.zeros(1), policy.probs[None, :]
     else:
         # stops at the first discrete time at/above target: an upper bound
         # on the true hitting time, which is what the bound check needs
-        reached = lambda p: float(p @ instance.r_true) >= rho  # noqa: E731
-        times, probs, _ = _run_flow(policy, config, lambda p: instance.r_proxy, reached)
-    expected = np.array([float(p @ instance.r_true) for p in probs])
+        reached = lambda p: _expectation(p, r_true) >= rho  # noqa: E731
+        times, probs, _ = _run_flow(policy, config, lambda p: r_proxy, reached)
+    # the stop test's sum on the same floats, so a hit is never reported missed
+    expected = np.array([_expectation(p, r_true) for p in probs.tolist()])
     if instance.gamma > 0.0 and expected[-1] < rho:
         raise NonConvergence(
             f"target {rho} not reached by t = {config.max_time} "
@@ -516,7 +541,8 @@ def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
         report = simulate_convergence(worked, flow)
     except NonConvergence as exc:
         return False, {"within_bound": False, "error": str(exc)}
-    proxy = [float(p @ worked.r_proxy) for p in report.probs]
+    r_proxy = _floats(worked.r_proxy)
+    proxy = [_expectation(p, r_proxy) for p in report.probs.tolist()]
     _write_series(out / "series.jsonl", report, report.expected_true, proxy)
 
     # hitting time vs initial preferred mass, as a columnar text table
@@ -562,7 +588,7 @@ def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
     for _ in range(5):
         n = int(rng.integers(2, 6))
         policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
-        rewards = rng.random(n)
+        rewards = rng.random(n).tolist()
         times, probs, _ = _run_flow(policy, flow, lambda p: rewards)
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1

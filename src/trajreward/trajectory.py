@@ -8,6 +8,7 @@ actually produced; nothing is re-tokenized or re-joined.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -314,11 +315,12 @@ def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = d
     """Yield ``build(record)`` for each record of a line-delimited JSON file.
 
     Each record must be a JSON object with the ``fields`` kinds (see
-    ``check_fields``). A line that is not, or on which ``build`` raises a
-    ValueError, is an InputError naming the file and line.
+    ``check_fields``). A line that is not, holds a byte that is not UTF-8,
+    or on which ``build`` raises a ValueError, is an InputError naming the
+    file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -334,6 +336,29 @@ def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = d
             except ValueError as exc:
                 raise InputError(f"{where}: {exc}") from exc
             yield item
+
+
+def _numbered_lines(fh, path) -> Iterator[tuple[int, str]]:
+    """Number the lines of an open UTF-8 text file; a byte that is not
+    UTF-8 is an InputError naming the line that holds it."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise InputError(_undecodable(path)) from exc
+
+
+def _undecodable(path) -> str:
+    """Name the file and line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end as text mode ends them: at \n, \r\n or a lone \r
+        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        lineno = head.count("\n") + 1
+        return f"{path}:{lineno}: not UTF-8 text: {exc.reason} {data[exc.start]:#04x}"
+    return f"{path}: not UTF-8 text"
 
 
 def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:

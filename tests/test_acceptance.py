@@ -107,6 +107,13 @@ def test_criterion_3_monotonicity_and_robustness_sweep():
           f"{report.violations} ({elapsed:.2f}s)")
 
 
+def step(policy, rewards, config):
+    """One ``flow_step`` from a policy, on the float lists it works on."""
+    rewards = np.asarray(rewards, dtype=float).tolist()
+    logits, _ = flow_step(policy.logits.tolist(), policy.probs.tolist(), rewards, config)
+    return TabularPolicy(np.array(logits))
+
+
 def test_criterion_4_gradient_and_flow_checks():
     rng = np.random.default_rng(41)
     worst_rel = 0.0
@@ -131,7 +138,7 @@ def test_criterion_4_gradient_and_flow_checks():
         assert rel <= 1e-6
 
         # realized probability velocity vs the closed form
-        realized = (flow_step(policy, rewards, step_cfg).probs - policy.probs) / h
+        realized = (step(policy, rewards, step_cfg).probs - policy.probs) / h
         assert np.allclose(realized, policy_velocity(policy.probs, rewards), atol=100 * h)
 
     # the worked two-output point evaluates to 0.1152
@@ -139,7 +146,7 @@ def test_criterion_4_gradient_and_flow_checks():
     assert policy_velocity(policy.probs, np.array([1.0, 0.0]))[0] == pytest.approx(
         0.1152, abs=1e-12
     )
-    realized = (flow_step(policy, np.array([1.0, 0.0]), step_cfg).probs[0] - 0.6) / h
+    realized = (step(policy, np.array([1.0, 0.0]), step_cfg).probs[0] - 0.6) / h
     assert abs(realized - 0.1152) <= 10 * h
 
     # growth bound at every checkpoint of random flows
@@ -150,9 +157,9 @@ def test_criterion_4_gradient_and_flow_checks():
         rewards = rng.random(n)
         p0 = policy.probs
         times, probs = [0.0], [p0]
-        for step in range(1, 301):
-            policy = flow_step(policy, rewards, cfg)
-            times.append(step * cfg.step_size)
+        for k in range(1, 301):
+            policy = step(policy, rewards, cfg)
+            times.append(k * cfg.step_size)
             probs.append(policy.probs)
         assert growth_bound_satisfied(p0, times, probs)
     print(f"PASS criterion 4: exact gradient within {worst_rel:.2e} of finite differences "

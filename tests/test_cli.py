@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -228,6 +229,11 @@ class TestExitCodes:
                 '{"traj_id": "t1", "con": "x", "vol": 0.5, "r_cur": 0.0}',
                 "field 'con' must be float, not str",
             ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": NaN, "r_cur": 0.0}',
+                "vol nan is outside [0, 1]",
+            ),
             ("analyze-matrices", '{"traj_id": "t1", "answer_order": []}', "missing fields ['rows']"),
             (
                 "analyze-matrices",
@@ -269,6 +275,40 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}:2: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    @pytest.mark.parametrize("reader", ["trajectory", "cache"])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, capsys, reader, bad_line):
+        good = dict(GOOD_TRAJECTORY, key="k", token_logprobs=[-1.0])
+        good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good_path.write_text(json.dumps(good) + "\n")
+        lines = [json.dumps(good).encode()] * 3
+        lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        out = str(tmp_path / "o")
+        if reader == "cache":
+            cfg_path = tmp_path / "file.yaml"
+            cfg = {"scorer": {"source": "file", "cache_path": str(path)}}
+            cfg_path.write_text(yaml.safe_dump(cfg))
+            argv = ["reward", "--config", str(cfg_path), "--input", str(good_path), "--out", out]
+        else:
+            argv = ["segment", "--input", str(path), "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{bad_line}: not UTF-8 text: invalid start byte 0xff\n"
+
+    def test_fractions_outside_unit_interval_rejected(self, tmp_path, capsys):
+        path = tmp_path / "rewards.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"traj_id": "a", "con": 1e308, "vol": 1e308, "r_cur": 0.0},
+                {"traj_id": "b", "con": -1e308, "vol": -1e308, "r_cur": 0.0},
+            ],
+        )
+        assert main(["analyze", "--rewards", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1: con 1e+308 is outside [0, 1]\n"
 
 
 JSON_VALUES = st.recursive(
@@ -346,7 +386,12 @@ class TestArbitraryJsonlLines:
     def test_rewards_export(self, workdir, lines):
         path = workdir / "rewards.jsonl"
         self.write(path, lines)
-        self.run(["analyze", "--rewards", str(path), "--out", str(workdir / "o")])
+        # any warning fails, e.g. numpy's overflow on fractions far outside [0, 1];
+        # recorded, not raised, so that a failure shrinks and reports normally
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.run(["analyze", "--rewards", str(path), "--out", str(workdir / "o")])
+        assert [str(w.message) for w in caught] == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

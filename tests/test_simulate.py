@@ -1,11 +1,14 @@
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from test_acceptance import _random_convergence_instance
 
 from trajreward.errors import InstanceInvalid, NonConvergence
 from trajreward.simulate import (
+    SWEEP_MASSES,
     ConvergenceInstance,
     FlowConfig,
     LatentTabularModel,
@@ -14,11 +17,20 @@ from trajreward.simulate import (
     flow_step,
     growth_bound_satisfied,
     kl_gradient,
+    preferred_mass_instance,
     random_latent_model,
     simulate_collapse,
     simulate_convergence,
     verify_elbo,
 )
+
+
+def step(policy, rewards, config, ref_log_probs=None):
+    """One ``flow_step`` from a policy, on the float lists it works on."""
+    rewards = np.asarray(rewards, dtype=float).tolist()
+    ref = None if ref_log_probs is None else np.asarray(ref_log_probs, dtype=float).tolist()
+    logits, _ = flow_step(policy.logits.tolist(), policy.probs.tolist(), rewards, config, ref)
+    return TabularPolicy(np.array(logits))
 
 
 def finite_difference_gradient(logits, rewards, eps=1e-5):
@@ -67,29 +79,29 @@ class TestExactGradient:
 class TestFlowStep:
     def test_zero_reward_leaves_policy_unchanged(self):
         policy = TabularPolicy.from_probs([0.6, 0.4])
-        stepped = flow_step(policy, np.zeros(2), FlowConfig(step_size=1e-2))
+        stepped = step(policy, np.zeros(2), FlowConfig(step_size=1e-2))
         assert np.array_equal(stepped.logits, policy.logits)
 
     def test_realized_velocity_matches_closed_form(self):
         policy = TabularPolicy.from_probs([0.6, 0.4])
         rewards = np.array([1.0, 0.0])
         h = 1e-4
-        stepped = flow_step(policy, rewards, FlowConfig(step_size=h, integrator="euler"))
+        stepped = step(policy, rewards, FlowConfig(step_size=h, integrator="euler"))
         realized = (stepped.probs[0] - policy.probs[0]) / h
         assert realized == pytest.approx(0.1152, abs=10 * h)
 
     def test_rk4_and_euler_agree_for_small_steps(self):
         policy = TabularPolicy.from_probs([0.3, 0.3, 0.4])
         rewards = np.array([1.0, 0.2, 0.0])
-        e = flow_step(policy, rewards, FlowConfig(step_size=1e-5, integrator="euler"))
-        r = flow_step(policy, rewards, FlowConfig(step_size=1e-5, integrator="rk4"))
+        e = step(policy, rewards, FlowConfig(step_size=1e-5, integrator="euler"))
+        r = step(policy, rewards, FlowConfig(step_size=1e-5, integrator="rk4"))
         assert e.probs == pytest.approx(r.probs, abs=1e-9)
 
     def test_kl_term_pulls_back_toward_reference(self):
         ref = TabularPolicy.from_probs([0.5, 0.5])
         policy = TabularPolicy.from_probs([0.9, 0.1])
         cfg = FlowConfig(step_size=1e-2, kl_coefficient=5.0)
-        stepped = flow_step(policy, np.zeros(2), cfg, ref_log_probs=np.log(ref.probs))
+        stepped = step(policy, np.zeros(2), cfg, ref_log_probs=np.log(ref.probs))
         assert stepped.probs[0] < policy.probs[0]
 
     def test_kl_gradient_zero_at_reference(self):
@@ -102,7 +114,7 @@ class TestFlowStep:
         cfg = FlowConfig(step_size=1e-2)
         rewards = np.array([0.9, 0.1, 0.4])
         for _ in range(200):
-            policy = flow_step(policy, rewards, cfg)
+            policy = step(policy, rewards, cfg)
             p = policy.probs
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert (p > 0).all()
@@ -144,7 +156,115 @@ def test_flow_step_equals_gradient_composition(integrator, kl):
             kl_coefficient=float(rng.uniform(0.01, 2.0)) if kl else 0.0,
         )
         expected = reference_flow_step(policy, rewards, cfg, ref)
-        assert (flow_step(policy, rewards, cfg, ref_log_probs=ref).logits == expected).all()
+        assert (step(policy, rewards, cfg, ref_log_probs=ref).logits == expected).all()
+
+
+# The flow loop as it ran on numpy arrays, kept as the reference for the
+# float loop: the same formulas, with numpy's reductions in place of sums
+# over lists. Only the names differ (a numpy_ prefix, and a policy class
+# whose probabilities come from the numpy softmax).
+
+
+def numpy_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max())
+    return shifted / shifted.sum()
+
+
+@dataclass
+class NumpyPolicy:
+    logits: np.ndarray
+
+    @property
+    def probs(self) -> np.ndarray:
+        return numpy_softmax(self.logits)
+
+
+def numpy_tangent(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Logit gradient of E_p[f] for a fixed f; components sum to zero."""
+    return p * (f - float(p @ f))
+
+
+def numpy_flow_step(
+    policy: NumpyPolicy,
+    rewards: np.ndarray,
+    config: FlowConfig,
+    ref_log_probs: np.ndarray | None = None,
+) -> NumpyPolicy:
+    """Advance the logits one step along d theta / dt = grad J (- lam grad KL)."""
+    h = config.step_size
+    lam = config.kl_coefficient
+    r = np.asarray(rewards, dtype=float)
+    with_kl = lam > 0.0 and ref_log_probs is not None
+
+    def f(th):
+        p = numpy_softmax(th)
+        grad = numpy_tangent(p, r)
+        if with_kl:
+            grad = grad - lam * numpy_tangent(p, np.log(p) - ref_log_probs)
+        return grad
+
+    th = policy.logits
+    if config.integrator == "euler":
+        new = th + h * f(th)
+    else:
+        k1 = f(th)
+        k2 = f(th + 0.5 * h * k1)
+        k3 = f(th + 0.5 * h * k2)
+        k4 = f(th + h * k3)
+        new = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return NumpyPolicy(new)
+
+
+def numpy_run_flow(policy: NumpyPolicy, config: FlowConfig, rewards_at, stop=None):
+    steps = int(round(config.max_time / config.step_size))
+    p = policy.probs
+    ref_log_probs = np.log(p)
+    r = rewards_at(p)
+    checkpoints = [(0.0, p, r)]
+    for step in range(1, steps + 1):
+        policy = numpy_flow_step(policy, r, config, ref_log_probs=ref_log_probs)
+        p = policy.probs
+        r = rewards_at(p)
+        stopped = stop is not None and stop(p)
+        if stopped or step % config.record_every == 0 or step == steps:
+            checkpoints.append((step * config.step_size, p, r))
+        if stopped:
+            break
+    times, probs, rewards = zip(*checkpoints)
+    return np.array(times), np.array(probs), np.array(rewards)
+
+
+def numpy_convergence(instance, config):
+    """(times, probs) of ``simulate_convergence``'s run on the numpy loop."""
+    rho = instance.rho
+    policy = NumpyPolicy(TabularPolicy.from_probs(instance.probs0).logits)
+    reached = lambda p: float(p @ instance.r_true) >= rho  # noqa: E731
+    times, probs, _ = numpy_run_flow(policy, config, lambda p: instance.r_proxy, reached)
+    return times, probs
+
+
+def hit_time_cases():
+    rng = np.random.default_rng(2718)
+    criterion_6 = FlowConfig(step_size=1e-2, max_time=2000.0, integrator="rk4", record_every=200)
+    worked = FlowConfig(step_size=1e-3, max_time=200.0, integrator="rk4", record_every=100)
+    cases = [(_random_convergence_instance(rng), criterion_6) for _ in range(100)]
+    cases += [(preferred_mass_instance(mass), criterion_6) for mass in SWEEP_MASSES]
+    return cases + [(preferred_mass_instance(0.1), worked)]
+
+
+def test_float_loop_matches_numpy_loop():
+    """Criterion 6's random instances, the sweep masses and the worked
+    instance at h = 1e-3 stop on the same step as on the numpy loop, with
+    every checkpoint probability within 1e-14."""
+    cases = hit_time_cases()
+    assert len(cases) == 105
+    for instance, config in cases:
+        report = simulate_convergence(instance, config)
+        times, probs = numpy_convergence(instance, config)
+        h = config.step_size
+        assert round(report.hit_time / h) == round(times[-1] / h)
+        assert report.times.tolist() == times.tolist()
+        assert np.abs(report.probs - probs).max() <= 1e-14
 
 
 def test_checkpoints_at_record_every_and_last_step():
@@ -279,9 +399,9 @@ class TestGrowthBound:
             rewards = rng.random(n)
             p0 = policy.probs
             times, probs = [0.0], [p0]
-            for step in range(1, 501):
-                policy = flow_step(policy, rewards, cfg)
-                times.append(step * cfg.step_size)
+            for k in range(1, 501):
+                policy = step(policy, rewards, cfg)
+                times.append(k * cfg.step_size)
                 probs.append(policy.probs)
             assert growth_bound_satisfied(p0, times, probs)
 

@@ -209,7 +209,12 @@ def cmd_reward(cfg: RunConfig, args) -> int:
             )
         except ScorerError as exc:
             failures.append(
-                {"prompt_id": batch.prompt_id, "error": type(exc).__name__, "message": str(exc)}
+                {
+                    "prompt_id": batch.prompt_id,
+                    "error": type(exc).__name__,
+                    "message": str(exc),
+                    "request_index": getattr(exc, "request_index", None),
+                }
             )
             continue
         labels = {t.traj_id: t.correct for t in batch.trajectories}

@@ -108,8 +108,7 @@ def score_plan(
 
     The result is identical for any worker count.
     """
-    reqs = plan_requests(batch, steps)
-    return dict(zip(reqs, score_batch(reqs, source, parallelism)))
+    return score_batch(plan_requests(batch, steps), source, parallelism)
 
 
 def batch_distance_matrices(

@@ -16,7 +16,7 @@ from .trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
 CORRECT_ANSWER = "7"
 WRONG_ANSWER = "9"
-BOOST = 8.0
+BOOST = 64.0
 
 
 @dataclass(frozen=True)

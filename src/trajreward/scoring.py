@@ -161,19 +161,6 @@ class ToyModel:
             history.append(tok)
         return ScoreResponse(tuple(out))
 
-    def generate(self, prefix: str, n_tokens: int, seed: int = 0) -> list[str]:
-        """Sample ``n_tokens`` continuation tokens; deterministic per seed."""
-        rng = np.random.default_rng(seed)
-        history = self.tokenize(prefix)
-        out = []
-        for _ in range(n_tokens):
-            probs = np.exp(self.log_probs(self.context_of(history)))
-            probs = probs / probs.sum()
-            tok = self.vocabulary[rng.choice(len(self.vocabulary), p=probs)]
-            out.append(tok)
-            history.append(tok)
-        return out
-
     def to_config(self) -> dict:
         return {
             "vocabulary": list(self.vocabulary),
@@ -380,42 +367,31 @@ def _parse_score_payload(data: bytes) -> ScoreResponse:
     return ScoreResponse(values)
 
 
-def score_batch(requests_, source: LogProbSource, parallelism: int = 1) -> list[ScoreResponse]:
-    """Score requests in order; the result is independent of parallelism.
+def score_batch(
+    requests: list[ScoreRequest], source: LogProbSource, parallelism: int = 1
+) -> dict[ScoreRequest, ScoreResponse]:
+    """Score each distinct request once; the mapping keeps first-use order.
 
-    Identical requests are scored once and share the response, so a
-    duplicated request always yields identical values at both positions.
+    The first failing request in that order is raised, with its position
+    among the distinct requests as ``request_index``, at any parallelism:
+    requests not yet started when it fails are never sent.
     """
-    reqs = list(requests_)
-    if not reqs:
+    unique = list(dict.fromkeys(requests))
+    if not unique:
         raise ValueError("score_batch needs at least one request")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
-    order: dict[ScoreRequest, int] = {}
-    positions: list[int] = []
-    for r in reqs:
-        positions.append(order.setdefault(r, len(order)))
-    unique = list(order)
-
-    answers: list[ScoreResponse | None] = [None] * len(unique)
-    errors: list[tuple[int, Exception]] = []
-    if parallelism == 1:
-        for i, r in enumerate(unique):
-            try:
-                answers[i] = source.score(r)
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append((i, exc))
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(source.score, r): i for i, r in enumerate(unique)}
-            for fut, i in futures.items():
-                try:
-                    answers[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    errors.append((i, exc))
-    if errors:
-        unique_index, exc = min(errors, key=lambda pair: pair[0])
-        exc.request_index = positions.index(unique_index)
-        raise exc
-    return [answers[i] for i in positions]  # type: ignore[misc]
+    with contextlib.ExitStack() as stack:
+        if parallelism == 1:
+            responses = map(source.score, unique)
+        else:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=parallelism))
+            responses = pool.map(source.score, unique)
+        scores: dict[ScoreRequest, ScoreResponse] = {}
+        try:
+            for request, response in zip(unique, responses):
+                scores[request] = response
+        except Exception as exc:
+            exc.request_index = len(scores)
+            raise
+    return scores

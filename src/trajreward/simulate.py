@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, isfinite, log
 from operator import mul
 from pathlib import Path
 
@@ -103,12 +103,12 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # NaN fails too
             raise ValueError("step_size must be positive")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.kl_coefficient < 0:
-            raise ValueError("kl_coefficient must be >= 0")
+        if not (isfinite(self.kl_coefficient) and self.kl_coefficient >= 0):
+            raise ValueError("kl_coefficient must be finite and >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -180,10 +180,11 @@ def _run_flow(policy: TabularPolicy, config: FlowConfig, rewards_at, stop=None):
 def growth_bound_satisfied(probs0, times, probs_series, rtol: float = 1e-9) -> bool:
     """Every checkpoint obeys pi_t(y) <= pi_0(y) * exp(2 t), up to rtol."""
     p0 = np.asarray(probs0, dtype=float)
-    for t, p in zip(times, probs_series):
-        cap = p0 * np.exp(GROWTH_RATE * float(t))
-        if (np.asarray(p) > cap * (1.0 + rtol)).any():
-            return False
+    with np.errstate(over="ignore"):  # a cap past the float range is inf, never exceeded
+        for t, p in zip(times, probs_series):
+            cap = p0 * np.exp(GROWTH_RATE * float(t))
+            if (np.asarray(p) > cap * (1.0 + rtol)).any():
+                return False
     return True
 
 
@@ -592,8 +593,9 @@ def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
         times, probs, _ = _run_flow(policy, flow, lambda p: rewards)
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
-        for t, p in zip(times[1:], probs[1:]):
-            worst = max(worst, float((p / (p0 * np.exp(GROWTH_RATE * t))).max()))
+        with np.errstate(over="ignore"):  # an infinite cap gives a ratio of 0
+            for t, p in zip(times[1:], probs[1:]):
+                worst = max(worst, float((p / (p0 * np.exp(GROWTH_RATE * t))).max()))
         ok = ok and growth_bound_satisfied(p0, times, probs)
     return ok, {"growth_bound": ok, "worst_ratio_to_cap": worst}
 
@@ -621,8 +623,25 @@ def run_preset(sim, flow: FlowConfig, seed: int, out: Path) -> tuple[bool, dict]
     """Run the preset named by ``sim.preset``; return (passed, assertions).
 
     ``sim`` is a run config's ``simulate`` section. Presets that produce
-    a series or a sweep table write it into ``out``.
+    a series or a sweep table write it into ``out``. Settings that would
+    turn a verdict vacuous or meaningless are a ValueError naming the
+    field, so a failed assertion always means a failed check.
     """
     if sim.preset not in PRESETS:
         raise ValueError(f"unknown simulate preset {sim.preset!r}")
+    if sim.preset == "collapse":
+        # the rule ConvergenceInstance and the ELBO prior apply; NaN and inf fail it
+        if not (all(p > 0 for p in sim.pi0) and abs(sum(sim.pi0) - 1.0) <= 1e-9):
+            raise ValueError(f"simulate.pi0 {sim.pi0} must be positive and sum to 1 within 1e-9")
+        if sim.mode == "sampled" and flow.sample_count < 1:
+            raise ValueError(f"simulate.sample_count {flow.sample_count} must be >= 1 when sampled")
+    if sim.preset in ("collapse", "convergence", "growth-bound"):
+        steps = flow.max_time / flow.step_size
+        if not (isfinite(steps) and round(steps) >= 1):
+            raise ValueError(
+                f"simulate.max_time {flow.max_time} must span a finite number of steps, "
+                f"at least one, of step_size {flow.step_size}"
+            )
+    if sim.preset == "robustness-probe" and sim.n_groups < 1:
+        raise ValueError(f"simulate.n_groups {sim.n_groups} must be >= 1")
     return PRESETS[sim.preset](sim, flow, seed, out)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -12,7 +13,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from trajreward.cli import main
+from trajreward.distance import plan_requests
+from trajreward.errors import CacheMiss
 from trajreward.planted import PlantedSpec, planted_model, planted_records
+from trajreward.scoring import FileCacheScorer
+from trajreward.trajectory import SegmentationRules, load_prompt_batches
 
 
 def write_jsonl(path, records):
@@ -41,6 +46,16 @@ def planted_setup(tmp_path):
 GOOD_TRAJECTORY = {
     "prompt_id": "p", "traj_id": "t0", "prompt_text": "q\n\n", "response_text": "a b\n\nAnswer: 7"
 }
+
+
+def first_miss(cache, plan):
+    """Position of the first request in ``plan`` that ``cache`` cannot score."""
+    for i, request in enumerate(plan):
+        try:
+            cache.score(request)
+        except CacheMiss:
+            return i
+    return None
 
 
 def read_lines(path):
@@ -74,6 +89,8 @@ class TestExitCodes:
         assert main(["reward", "--config", str(cfg_file), "--out", str(out)]) == 3
         errors = read_lines(out / "errors.jsonl")
         assert errors and errors[0]["error"] == "CacheMiss"
+        # an empty cache misses on the plan's first request
+        assert errors[0]["request_index"] == 0
 
     def test_partial_failure_keeps_good_batches(self, planted_setup, tmp_path):
         cfg_path, base = planted_setup
@@ -81,9 +98,15 @@ class TestExitCodes:
         # second prompt's scores are missing from the cache built for the first
         assert main(["score", "--config", str(cfg_path), "--out", str(base / "cache")]) == 0
         records = read_lines(cfg["input"])
-        # the cache is content-addressed, so p1 needs text the cache has not seen
+        # the cache is content-addressed, so p1 needs text the cache has not seen:
+        # its steps are new, while its bare-prompt cells are p0's
         extra = [
-            dict(rec, prompt_id="p1", traj_id=f"x{i}", prompt_text="another question\n\n")
+            dict(
+                rec,
+                prompt_id="p1",
+                traj_id=f"x{i}",
+                response_text=rec["response_text"].replace("x", "y"),
+            )
             for i, rec in enumerate(records[:3])
         ]
         two_prompts = base / "two_prompts.jsonl"
@@ -98,6 +121,11 @@ class TestExitCodes:
         assert {r["prompt_id"] for r in rewarded} == {"p0"}
         failures = read_lines(out / "errors.jsonl")
         assert [f["prompt_id"] for f in failures] == ["p1"]
+        # the first request of p1's plan that the cache lacks, past the cached prompt cells
+        cache = FileCacheScorer.load(base / "cache" / "cache.jsonl")
+        p1 = load_prompt_batches(two_prompts, SegmentationRules())[1]
+        miss = first_miss(cache, plan_requests(p1, steps=True))
+        assert failures[0]["request_index"] == miss > 0
 
     def test_identical_content_served_from_cache(self, planted_setup, tmp_path):
         cfg_path, base = planted_setup
@@ -148,6 +176,29 @@ class TestExitCodes:
         cfg_path = tmp_path / "sim.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 5
+
+    @pytest.mark.parametrize(
+        "sim, field",
+        [
+            ({"pi0": [float("nan"), 0.5]}, "simulate.pi0"),
+            ({"pi0": [float("inf"), 0.5]}, "simulate.pi0"),
+            ({"pi0": [0.5, 0.7]}, "simulate.pi0"),  # no silent renormalization
+            ({"preset": "growth-bound", "max_time": -1.0}, "simulate.max_time"),
+            ({"preset": "growth-bound", "max_time": 0.001}, "simulate.max_time"),  # zero steps
+            ({"preset": "convergence", "max_time": float("inf")}, "simulate.max_time"),
+            ({"mode": "sampled", "sample_count": 0}, "simulate.sample_count"),
+            ({"mode": "sampled", "sample_count": -3}, "simulate.sample_count"),
+            ({"preset": "robustness-probe", "n_groups": 0}, "simulate.n_groups"),
+            ({"kl_coefficient": float("nan")}, "kl_coefficient"),
+            ({"step_size": float("nan")}, "step_size"),
+        ],
+    )
+    def test_vacuous_simulate_setting_is_one_line_input_error(self, tmp_path, capsys, sim, field):
+        cfg_path = tmp_path / "sim.yaml"
+        cfg_path.write_text(yaml.safe_dump({"simulate": sim}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
 
     def test_unknown_preset_rejected(self, tmp_path):
         cfg_path = tmp_path / "sim.yaml"
@@ -769,6 +820,70 @@ class TestSimulatePresets:
         series = read_lines(out / "series.jsonl")
         assert {"t", "pi", "E_r_true", "E_r_proxy"} <= set(series[0])
         assert series[0]["t"] == 0.0
+
+
+MAX_FLOW_STEPS = 300
+
+
+def capped_steps(sim):
+    """``sim`` with max_time lowered to MAX_FLOW_STEPS steps of step_size, so
+    that an example integrates quickly; other horizons pass unchanged."""
+    try:
+        steps = sim["max_time"] / sim["step_size"]
+    except (ZeroDivisionError, OverflowError):  # the config rejects an int too large for a float
+        return sim
+    if sim["step_size"] > 0 and MAX_FLOW_STEPS < steps < math.inf:
+        sim["max_time"] = sim["step_size"] * MAX_FLOW_STEPS
+    return sim
+
+
+DISTRIBUTIONS = st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=4).map(
+    lambda w: [x / sum(w) for x in w]
+)
+SIMULATE_SECTIONS = st.fixed_dictionaries(
+    {"step_size": st.floats(1e-3, 10.0) | FLOATS, "max_time": st.floats(0.0, 100.0) | FLOATS},
+    optional={
+        "preset": st.sampled_from(
+            ["collapse", "convergence", "elbo", "growth-bound", "robustness-probe", "none"]
+        ),
+        "pi0": DISTRIBUTIONS | st.lists(FLOATS, max_size=3),
+        "truth_index": st.integers(-1, 4),
+        "mode": st.sampled_from(["exact", "sampled", "none"]),
+        "target": st.floats(0.0, 1.0) | FLOATS,
+        "integrator": st.sampled_from(["euler", "rk4", "none"]),
+        "kl_coefficient": st.floats(0.0, 2.0) | FLOATS,
+        "sample_count": st.integers(-3, 32),
+        "record_every": st.integers(-1, 50),
+        "n_groups": st.integers(-1, 200),
+        "n_latent": st.integers(-1, 5),
+        "n_outputs": st.integers(-1, 5),
+    },
+).map(capped_steps)
+
+
+class TestArbitrarySimulateSections:
+    """Whatever a ``simulate`` section holds, the command exits 0, 2 or 5 with
+    at most one stderr line and no warning, and a failed check (exit 5)
+    reports only finite numbers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sim=SIMULATE_SECTIONS, seed=st.integers(-1, 2**64))
+    def test_simulate_section(self, tmp_path_factory, sim, seed):
+        base = tmp_path_factory.mktemp("simulate")
+        cfg_path = base / "sim.yaml"
+        cfg_path.write_text(yaml.safe_dump({"seed": seed, "simulate": sim}))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(cfg_path), "--out", str(base / "o")])
+        assert code in (0, 2, 5)
+        assert err.getvalue().count("\n") <= 1
+        assert [str(w.message) for w in caught] == []
+        if code == 5:
+            assertions = json.loads((base / "o" / "assertions.json").read_text())
+            numbers = [v for v in assertions.values() if isinstance(v, (int, float))]
+            assert all(math.isfinite(v) for v in numbers), assertions
 
 
 class TestShippedFixture:

@@ -355,3 +355,23 @@ class TestPlantedOrdering:
         vol_false = np.mean([v for _, v in by_label[False]])
         assert con_true > con_false
         assert vol_true < vol_false
+
+    @pytest.mark.parametrize(
+        "n_correct, n_incorrect, num_steps", [(4, 4, 6), (6, 6, 8), (3, 5, 4), (8, 4, 12)]
+    )
+    def test_every_trajectory_has_its_planted_con_vol(self, n_correct, n_incorrect, num_steps):
+        # correct trajectory c<j> strays to the rival at state 1 when j is odd;
+        # incorrect ones hold the rival at states 0..T-2 and their own at T-1
+        T = num_steps
+        misses = []
+        for seed in range(60):
+            spec = PlantedSpec(seed, n_correct, n_incorrect, num_steps)
+            batch = planted_batch(spec)
+            mats = batch_distance_matrices(batch, score_plan(batch, planted_model(spec)))
+            for t in batch.trajectories:
+                strays = int(t.traj_id[1:]) % 2
+                planted = ((T - strays) / T, strays / T) if t.correct else (1 / T, (T - 2) / T)
+                values = mats[t.traj_id].values
+                if (consistency(values), volatility(values)) != planted:
+                    misses.append((seed, t.traj_id))
+        assert misses == []

@@ -98,7 +98,6 @@ class TestToyModel:
         b = ToyModel(VOCAB, order=3, seed=9)
         req = ScoreRequest("a b c", "d d a b")
         assert a.score(req) == b.score(req)
-        assert a.generate("a", 6, seed=5) == b.generate("a", 6, seed=5)
 
     def test_different_seeds_differ(self):
         a = ToyModel(VOCAB, seed=1)
@@ -169,18 +168,34 @@ class TestScoreResponse:
             ScoreRequest("p", "")
 
 
+class CountingSource:
+    """A toy model that counts the calls it gets, per request."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls: dict[ScoreRequest, int] = {}
+        self._lock = threading.Lock()
+
+    def score(self, request):
+        with self._lock:
+            self.calls[request] = self.calls.get(request, 0) + 1
+        return self.model.score(request)
+
+
 class TestScoreBatch:
     def test_batch_of_one_equals_single(self):
         model = ToyModel(VOCAB, seed=1)
         req = ScoreRequest("a", "b c")
-        assert score_batch([req], model) == [model.score(req)]
+        assert score_batch([req], model) == {req: model.score(req)}
 
     def test_duplicated_request_identical_positions(self):
-        model = ToyModel(VOCAB, seed=1)
+        source = CountingSource(ToyModel(VOCAB, seed=1))
         req = ScoreRequest("a", "b c")
         other = ScoreRequest("b", "a")
-        out = score_batch([req, other, req], model, parallelism=3)
-        assert out[0] == out[2]
+        out = score_batch([req, other, req], source, parallelism=3)
+        assert list(out) == [req, other]
+        assert source.calls == {req: 1, other: 1}
+        assert out[req] == source.model.score(req)
 
     def test_request_grid_count(self):
         # 4 trajectories x 3 states x 2 candidate answers = 24 cells; the
@@ -221,10 +236,14 @@ class TestScoreBatch:
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 7])
     def test_order_independence(self, workers):
-        model = ToyModel(VOCAB, seed=2)
-        reqs = [ScoreRequest("a b", f"{t} d") for t in VOCAB for _ in range(3)]
-        sequential = [model.score(r) for r in reqs]
-        assert score_batch(reqs, model, parallelism=workers) == sequential
+        source = CountingSource(ToyModel(VOCAB, seed=2))
+        reqs = [ScoreRequest("a b", f"{t} d") for t in reversed(VOCAB) for _ in range(3)]
+        out = score_batch(reqs, source, parallelism=workers)
+        first_use = [ScoreRequest("a b", f"{t} d") for t in reversed(VOCAB)]
+        assert list(out) == first_use
+        assert out == {r: source.model.score(r) for r in first_use}
+        assert out == score_batch(reqs, source.model)
+        assert source.calls == dict.fromkeys(first_use, 1)
 
     def test_error_carries_first_failing_index(self):
         cache = FileCacheScorer()
@@ -234,6 +253,28 @@ class TestScoreBatch:
         with pytest.raises(CacheMiss) as err:
             score_batch([good, bad, bad], cache, parallelism=2)
         assert err.value.request_index == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_first_failure_stops_the_batch(self, workers):
+        reqs = [ScoreRequest("p", f"t{i}") for i in range(200)]
+        calls = 0
+        lock = threading.Lock()
+
+        class FailsOnRequestOne:
+            def score(self, request):
+                nonlocal calls
+                with lock:
+                    calls += 1
+                time.sleep(0.001)
+                if request == reqs[1]:
+                    raise ServiceUnavailable(f"down for {request.continuation}")
+                return ScoreResponse((-1.0,))
+
+        with pytest.raises(ServiceUnavailable) as err:
+            score_batch(reqs, FailsOnRequestOne(), parallelism=workers)
+        assert err.value.request_index == 1
+        assert str(err.value) == "down for t1"
+        assert calls < 50
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,20 @@
 """The benchmark's tracer (bench/tracer.py) times the program by replacing
 module attributes named in its WRAPPED tuple. These tests keep every named
-attribute resolvable, so no span goes missing unnoticed, and keep the flow
-step a module global called once per integration step."""
+attribute resolvable, so no span goes missing unnoticed, and keep the
+wrapped calls where the tracer looks for them: the flow step a module global
+called once per integration step, and the reward stages called through
+``cli`` and ``distance`` once per prompt batch or trajectory."""
 
 import ast
 import importlib
 import inspect
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trajreward import simulate
+from trajreward import cli, distance, simulate
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -36,6 +40,45 @@ def test_wrapped_attribute_resolves(module_name, path, span):
         owner = inspect.getattr_static(owner, part)  # AttributeError when renamed away
     func = owner.__func__ if isinstance(owner, (classmethod, staticmethod)) else owner
     assert callable(func), f"{module_name}.{path} ({span}) is not callable"
+
+
+def count_calls(monkeypatch, module, name, calls: Counter, check=None):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    func = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        if check is not None:
+            check(*args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_reward_stages_run_once_per_batch_or_trajectory(monkeypatch, tmp_path, fixtures_dir):
+    lines = (fixtures_dir / "planted_batch.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    second = [dict(rec, prompt_id="p1", traj_id=f"{rec['traj_id']}b") for rec in records]
+    batch_file = tmp_path / "two_prompts.jsonl"
+    batch_file.write_text("".join(json.dumps(rec) + "\n" for rec in records + second))
+
+    def planned_list(requests, source, parallelism):
+        # the tracer counts a batch's requests only in a list or tuple, never an iterator
+        assert isinstance(requests, (list, tuple))
+
+    calls = Counter()
+    count_calls(monkeypatch, distance, "score_batch", calls, planned_list)
+    for name in ("batch_distance_matrices", "curiosity_reward", "assemble_rewards"):
+        count_calls(monkeypatch, cli, name, calls)
+    config = fixtures_dir / "planted_config.yaml"
+    argv = ["reward", "--config", str(config), "--input", str(batch_file), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == {
+        "score_batch": 2,
+        "batch_distance_matrices": 2,
+        "assemble_rewards": 2,
+        "curiosity_reward": 2 * len(records),
+    }
 
 
 def test_flow_step_runs_once_per_step(monkeypatch):

@@ -26,13 +26,6 @@ class LabelStats:
     vol_std: float
 
 
-@dataclass
-class FeatureStats:
-    """Per-label mean and population std of con and vol."""
-
-    per_label: dict[str, LabelStats]
-
-
 def _label_of(flag: bool | None) -> str:
     if flag is None:
         return "unlabeled"
@@ -41,7 +34,8 @@ def _label_of(flag: bool | None) -> str:
 
 def feature_statistics(
     features: Sequence[TrajectoryFeatures], labels: Sequence[bool | None]
-) -> FeatureStats:
+) -> dict[str, LabelStats]:
+    """Per-label mean and population std of con and vol, in ``LABELS`` order."""
     if not features:
         raise ValueError("no features to summarize")
     if len(features) != len(labels):
@@ -63,17 +57,15 @@ def feature_statistics(
             vol_mean=float(vol.mean()),
             vol_std=float(vol.std()),
         )
-    return FeatureStats(out)
+    return out
 
 
-def write_feature_stats(stats: FeatureStats, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """A comma-separated table: the header, then one line per row (``None`` written empty)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "count", "con_mean", "con_std", "vol_mean", "vol_std"])
-        for label in LABELS:
-            if label in stats.per_label:
-                s = stats.per_label[label]
-                writer.writerow([label, s.count, s.con_mean, s.con_std, s.vol_mean, s.vol_std])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def curve_aggregate(
@@ -106,14 +98,6 @@ def curve_aggregate(
                 }
             )
     return rows
-
-
-def write_curve_table(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "bucket", "state_index", "mean_point", "count"])
-        for r in rows:
-            writer.writerow([r["label"], r["bucket"], r["state_index"], r["mean_point"], r["count"]])
 
 
 @dataclass(frozen=True)
@@ -240,11 +224,3 @@ def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]], max_n: 
 
 def _ngrams(tokens: Sequence[str], n: int):
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def write_diversity(metrics: DiversityMetrics, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token_entropy", "self_bleu"])
-        bleu_out = "" if metrics.self_bleu is None else metrics.self_bleu
-        writer.writerow([metrics.token_entropy, bleu_out])

@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 input/config errors, 3 scorer errors,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .errors import ScorerError, TrajRewardError
 from .rewards import TrajectoryFeatures, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
 from .simulate import FlowConfig, run_preset
-from .trajectory import load_prompt_batches, read_jsonl
+from .trajectory import load_prompt_batches, read_jsonl, write_json, write_jsonl
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -138,31 +138,22 @@ def _build_scorer(cfg: RunConfig):
     )
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 def cmd_segment(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    records = []
-    for batch in _load_batches(cfg):
-        for traj in batch.trajectories:
-            records.append(
-                {
-                    "prompt_id": traj.prompt_id,
-                    "traj_id": traj.traj_id,
-                    "T": traj.num_steps,
-                    "steps": [
-                        {"text": s.text, "start": s.start, "end": s.end} for s in traj.steps
-                    ],
-                    "final_answer": traj.final_answer,
-                    "answer_start": traj.answer_start,
-                    "correct": traj.correct,
-                }
-            )
-    _write_jsonl(out / "segments.jsonl", records)
+    records = [
+        {
+            "prompt_id": t.prompt_id,
+            "traj_id": t.traj_id,
+            "T": t.num_steps,
+            "steps": [vars(step) for step in t.steps],
+            "final_answer": t.final_answer,
+            "answer_start": t.answer_start,
+            "correct": t.correct,
+        }
+        for batch in _load_batches(cfg)
+        for t in batch.trajectories
+    ]
+    write_jsonl(out / "segments.jsonl", records)
     print(f"segmented {len(records)} trajectories -> {out / 'segments.jsonl'}")
     return EXIT_OK
 
@@ -217,24 +208,10 @@ def cmd_reward(cfg: RunConfig, args) -> int:
                 }
             )
             continue
-        labels = {t.traj_id: t.correct for t in batch.trajectories}
-        for r in report.rewards:
-            reward_records.append(
-                {
-                    "traj_id": r.traj_id,
-                    "prompt_id": batch.prompt_id,
-                    "group": r.group_index,
-                    "con": r.con,
-                    "vol": r.vol,
-                    "r_int_linear": r.r_int_linear,
-                    "r_int_vector": r.r_int_vector,
-                    "r_cur": r.r_cur,
-                    "r_total": r.r_total,
-                    "advantage": r.advantage,
-                    "skip": r.skip,
-                    "correct": labels[r.traj_id],
-                }
-            )
+        reward_records.extend(
+            {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
+            for t, r in zip(batch.trajectories, report.rewards)
+        )
         summary_rows.append(
             {
                 "prompt_id": batch.prompt_id,
@@ -246,25 +223,19 @@ def cmd_reward(cfg: RunConfig, args) -> int:
         )
         matrices_all.extend(matrices[t.traj_id] for t in batch.trajectories)
 
-    _write_jsonl(out / "rewards.jsonl", reward_records)
+    write_jsonl(out / "rewards.jsonl", reward_records)
     write_matrices(matrices_all, out / "matrices.jsonl")
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "prompts": summary_rows,
-                "n_prompts": len(summary_rows),
-                "n_trajectories": len(reward_records),
-                "n_failures": len(failures),
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+    summary = {
+        "prompts": summary_rows,
+        "n_prompts": len(summary_rows),
+        "n_trajectories": len(reward_records),
+        "n_failures": len(failures),
+    }
+    write_json(out / "summary.json", summary)
     if isinstance(source, HttpScorer) and cfg.scorer.cache_path:
         source.cache.dump(cfg.scorer.cache_path)
     if failures:
-        _write_jsonl(out / "errors.jsonl", failures)
+        write_jsonl(out / "errors.jsonl", failures)
         print(f"{len(failures)} prompt batches failed; see {out / 'errors.jsonl'}", file=sys.stderr)
         return EXIT_SCORER
     print(f"rewarded {len(reward_records)} trajectories -> {out / 'rewards.jsonl'}")
@@ -290,12 +261,13 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     if rewards_path:
         fields = {"traj_id": str, "con": float, "vol": float, "r_cur": float}
         records = list(read_jsonl(rewards_path, fields, _labelled_features))
-        features = [feature for feature, _ in records]
-        labels = [label for _, label in records]
-        if not features:
+        if not records:
             raise ValueError(f"no reward records in {rewards_path}")
+        features, labels = zip(*records)
         stats = analysis.feature_statistics(features, labels)
-        analysis.write_feature_stats(stats, out / "feature_stats.csv")
+        header = ["label", *(f.name for f in dataclasses.fields(analysis.LabelStats))]
+        rows = ([label, *vars(s).values()] for label, s in stats.items())
+        analysis.write_csv(out / "feature_stats.csv", header, rows)
 
     if matrices_path:
         curves = []
@@ -303,14 +275,15 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
             if matrix.num_answers >= 2:
                 curves.append(normalized_curve(matrix))
         rows = analysis.curve_aggregate(curves, bucket_by_length=getattr(args, "bucket", False))
-        analysis.write_curve_table(rows, out / "curves.csv")
+        header = ["label", "bucket", "state_index", "mean_point", "count"]
+        analysis.write_csv(out / "curves.csv", header, ([r[k] for k in header] for r in rows))
 
     if cfg.input:
         records = read_jsonl(cfg.input, {"response_text": str})
         responses = [rec["response_text"].split() for rec in records]
         if responses:
-            metrics = analysis.diversity_metrics(responses)
-            analysis.write_diversity(metrics, out / "diversity.csv")
+            metrics = vars(analysis.diversity_metrics(responses))
+            analysis.write_csv(out / "diversity.csv", list(metrics), [metrics.values()])
     print(f"analysis written to {out}")
     return EXIT_OK
 
@@ -328,9 +301,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         record_every=sim.record_every,
     )
     ok, assertions = run_preset(sim, flow, cfg.seed, out)
-    with open(out / "assertions.json", "w", encoding="utf-8") as fh:
-        json.dump(assertions, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "assertions.json", assertions)
     for name, value in sorted(assertions.items()):
         print(f"{name}: {value}")
     if not ok:

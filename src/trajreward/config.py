@@ -8,15 +8,15 @@ directory of each command.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import get_type_hints
 
 import yaml
 
 from .rewards import CuriosityConfig
-from .trajectory import SegmentationRules, is_kind, kind_name
+from .trajectory import SegmentationRules, is_kind, kind_name, write_json
 
 
 @dataclass
@@ -45,6 +45,10 @@ class RewardConfig:
     curiosity_weight: float = 1.0
     curiosity_mode: str = "eq10"  # eq10 | alg2
     curiosity_denominator: str = "step"  # step | prefix
+
+    def __post_init__(self):
+        if not isfinite(self.curiosity_weight):  # NaN or inf would make r_total non-JSON
+            raise ValueError(f"reward.curiosity_weight {self.curiosity_weight} must be finite")
 
     def curiosity_config(self) -> CuriosityConfig:
         return CuriosityConfig(self.curiosity_mode, self.curiosity_denominator)
@@ -80,11 +84,8 @@ class RunConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
 
     def echo(self, out_dir: Path) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-            # each section serialises as its field dict; no deep copy of the toy boosts
-            json.dump(self, fh, default=vars, sort_keys=True, indent=2)
-            fh.write("\n")
+        # each section serialises as its field dict; no deep copy of the toy boosts
+        write_json(out_dir / "resolved_config.json", self)
 
 
 def _merge_section(cls, data):

@@ -9,7 +9,6 @@ trajectory's own final answer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +17,8 @@ import numpy as np
 from .errors import EmptyAnswer, SingleAnswerBatch
 from .rewards import CuriosityConfig, step_curiosity
 from .scoring import LogProbSource, ScoreRequest, ScoreResponse, score_batch
-from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer, read_jsonl
+from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer
+from .trajectory import read_jsonl, write_jsonl
 
 
 @dataclass
@@ -176,17 +176,17 @@ def normalized_curve(matrix: DistanceMatrix) -> NormalizedCurve:
 
 def write_matrices(matrices, path) -> None:
     """Export matrices as line-delimited JSON for plotting and analysis."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in matrices:
-            rec = {
-                "traj_id": m.traj_id,
-                "T": m.num_states,
-                "K": m.num_answers,
-                "answer_order": list(m.answer_order),
-                "rows": [[float(x) for x in row] for row in m.values],
-                "correct": m.correct,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {
+            "traj_id": m.traj_id,
+            "T": m.num_states,
+            "K": m.num_answers,
+            "answer_order": m.answer_order,
+            "rows": m.values.tolist(),
+            "correct": m.correct,
+        }
+        for m in matrices
+    ))
 
 
 def read_matrices(path) -> list[DistanceMatrix]:

@@ -43,7 +43,7 @@ class GroupReward:
 @dataclass(frozen=True)
 class TrajectoryReward:
     traj_id: str
-    group_index: int
+    group: int
     con: float
     vol: float
     r_int_linear: float
@@ -254,7 +254,7 @@ def assemble_rewards(
         rewards.append(
             TrajectoryReward(
                 traj_id=t.traj_id,
-                group_index=gr.group_index,
+                group=gr.group_index,
                 con=f.con,
                 vol=f.vol,
                 r_int_linear=gr.r_linear,

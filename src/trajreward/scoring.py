@@ -179,18 +179,26 @@ class ToyModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ToyModel":
-        """The model ``to_config`` describes; a missing or mistyped entry is a ValueError."""
+        """The model ``to_config`` describes; a missing, unknown or mistyped key is a ValueError."""
         cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
         try:
-            kinds = {"order": int, "seed": int, "init": str, "boosts": list[dict]}
-            check_fields(cfg, {"vocabulary": list[str], **kinds})
+            kinds = {"vocabulary": list[str], "order": int, "seed": int, "init": str}
+            _check_entry(cfg, {**kinds, "boosts": list[dict]})
             model = cls(cfg["vocabulary"], order=cfg["order"], seed=cfg["seed"], init=cfg["init"])
             for b in cfg["boosts"]:
-                check_fields(b, {"context": list[str], "token": str, "delta": float})
+                _check_entry(b, {"context": list[str], "token": str, "delta": float})
                 model.boost(b["context"], b["token"], b["delta"])
         except ValueError as exc:
             raise ValueError(f"scorer.toy: {exc}") from exc
         return model
+
+
+def _check_entry(entry: dict, fields: dict) -> None:
+    """``check_fields``, and a ValueError for a key outside ``fields``."""
+    unknown = [key for key in entry if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
+    check_fields(entry, fields)
 
 
 class FileCacheScorer:
@@ -271,6 +279,12 @@ class HttpScorer:
         backoff: float = 0.1,
         cache: FileCacheScorer | None = None,
     ):
+        if attempts < 1:
+            raise ValueError(f"scorer.attempts {attempts} must be >= 1")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"scorer.timeout {timeout} must be finite and > 0")
+        if not (math.isfinite(backoff) and backoff >= 0):
+            raise ValueError(f"scorer.backoff {backoff} must be finite and >= 0")
         url = base_url or os.environ.get(SCORER_URL_ENV)
         if not url:
             raise ValueError(f"no scorer URL: pass base_url or set {SCORER_URL_ENV}")

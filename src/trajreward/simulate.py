@@ -10,7 +10,6 @@ that run these checks and write their results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import exp, isfinite, log
 from operator import mul
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import InstanceInvalid, NonConvergence
 from .probes import probe_reward_perturbations
+from .trajectory import write_jsonl
 
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
 
@@ -131,6 +131,11 @@ def flow_step(
     def f(p):
         grad = _tangent(p, rewards)
         if with_kl:
+            if not all(a > 0.0 for a in p):  # log p of the KL term needs every p > 0
+                raise ValueError(
+                    f"simulate.kl_coefficient {lam} is too stiff for simulate.step_size {h}: "
+                    "a probability fell to 0"
+                )
             grad = [g - lam * k for g, k in zip(grad, _kl_tangent(p, ref_log_probs))]
         return grad
 
@@ -515,10 +520,10 @@ SWEEP_MASSES = (0.3, 0.2, WORKED_MASS, 0.05)
 
 
 def _write_series(path: Path, report, e_true, e_proxy) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, p, a, b in zip(report.times, report.probs, e_true, e_proxy):
-            rec = {"t": float(t), "pi": p.tolist(), "E_r_true": float(a), "E_r_proxy": float(b)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"t": float(t), "pi": p.tolist(), "E_r_true": float(a), "E_r_proxy": float(b)}
+        for t, p, a, b in zip(report.times, report.probs, e_true, e_proxy)
+    ))
 
 
 def _collapse_preset(sim, flow: FlowConfig, seed: int, out: Path):
@@ -644,4 +649,8 @@ def run_preset(sim, flow: FlowConfig, seed: int, out: Path) -> tuple[bool, dict]
             )
     if sim.preset == "robustness-probe" and sim.n_groups < 1:
         raise ValueError(f"simulate.n_groups {sim.n_groups} must be >= 1")
+    if sim.preset == "elbo":
+        for name in ("n_latent", "n_outputs"):
+            if getattr(sim, name) < 1:
+                raise ValueError(f"simulate.{name} {getattr(sim, name)} must be >= 1")
     return PRESETS[sim.preset](sim, flow, seed, out)

@@ -338,6 +338,23 @@ def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = d
             yield item
 
 
+def write_jsonl(path, records) -> None:
+    """Write each record as one JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write one JSON document: keys sorted, indented by 2, ending in a newline.
+
+    A dataclass inside ``obj`` is written as its field dict.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, default=vars, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _numbered_lines(fh, path) -> Iterator[tuple[int, str]]:
     """Number the lines of an open UTF-8 text file; a byte that is not
     UTF-8 is an InputError naming the line that holds it."""

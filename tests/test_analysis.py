@@ -24,31 +24,31 @@ def feat(con, vol=0.0, traj_id="t"):
 class TestFeatureStatistics:
     def test_singleton(self):
         stats = feature_statistics([feat(0.5)], [True])
-        block = stats.per_label["correct"]
+        block = stats["correct"]
         assert block.count == 1
         assert block.con_mean == 0.5
         assert block.con_std == 0.0
 
     def test_two_values_population_std(self):
         stats = feature_statistics([feat(0.2), feat(0.8)], [None, None])
-        block = stats.per_label["unlabeled"]
+        block = stats["unlabeled"]
         assert block.con_mean == pytest.approx(0.5, abs=1e-12)
         assert block.con_std == pytest.approx(0.3, abs=1e-12)
 
     def test_labels_partition_counts(self):
         feats = [feat(0.1), feat(0.2), feat(0.3), feat(0.4)]
         stats = feature_statistics(feats, [True, False, True, None])
-        assert stats.per_label["correct"].count == 2
-        assert stats.per_label["incorrect"].count == 1
-        assert stats.per_label["unlabeled"].count == 1
+        assert stats["correct"].count == 2
+        assert stats["incorrect"].count == 1
+        assert stats["unlabeled"].count == 1
 
     def test_label_permutation_permutes_blocks(self):
         feats = [feat(0.1), feat(0.9), feat(0.4)]
         stats_a = feature_statistics(feats, [True, False, False])
         stats_b = feature_statistics(feats, [False, True, True])
         # flipping every label swaps the two blocks and changes nothing else
-        assert stats_a.per_label["correct"] == stats_b.per_label["incorrect"]
-        assert stats_a.per_label["incorrect"] == stats_b.per_label["correct"]
+        assert stats_a["correct"] == stats_b["incorrect"]
+        assert stats_a["incorrect"] == stats_b["correct"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

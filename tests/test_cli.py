@@ -191,6 +191,13 @@ class TestExitCodes:
             ({"preset": "robustness-probe", "n_groups": 0}, "simulate.n_groups"),
             ({"kl_coefficient": float("nan")}, "kl_coefficient"),
             ({"step_size": float("nan")}, "step_size"),
+            ({"preset": "elbo", "n_latent": 0}, "simulate.n_latent"),
+            ({"preset": "elbo", "n_outputs": 0}, "simulate.n_outputs"),
+            # a KL term stiff enough to push a probability to exactly 0
+            (
+                {"kl_coefficient": 1.0e10, "step_size": 1.0, "max_time": 10.0},
+                "simulate.kl_coefficient",
+            ),
         ],
     )
     def test_vacuous_simulate_setting_is_one_line_input_error(self, tmp_path, capsys, sim, field):
@@ -218,6 +225,8 @@ class TestExitCodes:
             "scorer: 0\n",
             'reward: ""\n',
             "segmentation:\n  delimiter: '('\n",  # not a regex
+            "reward: {curiosity_weight: .nan}\n",  # r_total would not be JSON
+            "reward: {curiosity_weight: .inf}\n",
         ],
     )
     def test_bad_config_is_one_line_input_error(self, tmp_path, capsys, text):
@@ -240,6 +249,21 @@ class TestExitCodes:
                 "scorer.toy: missing fields ['token']",
             ),
             ("reward", "scorer: {source: tyo}\n", "unknown scorer source 'tyo'"),
+            (
+                "reward",
+                "scorer: {toy: {vocabulary: [a], boost: [{context: [a], token: a, delta: 1}]}}\n",
+                "scorer.toy: unknown field 'boost'",
+            ),
+            (
+                "reward",
+                "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], tok: a, delta: 1}]}}\n",
+                "scorer.toy: unknown field 'tok'",
+            ),
+            # HttpScorer settings are checked before any connection opens
+            ("reward", "scorer: {source: http, attempts: 0}\n", "scorer.attempts 0 "),
+            ("reward", "scorer: {source: http, backoff: -1}\n", "scorer.backoff -1 "),
+            ("reward", "scorer: {source: http, timeout: -1}\n", "scorer.timeout -1 "),
+            ("reward", "scorer: {source: http, timeout: .nan}\n", "scorer.timeout nan "),
         ],
     )
     def test_bad_config_value_is_one_line_input_error(

@@ -292,7 +292,7 @@ class TestAssembleRewards:
         report = assemble_rewards(batch, mats, variant="vector")
         by_id = {r.traj_id: r for r in report.rewards}
         assert by_id["t0"].r_int_vector == by_id["t1"].r_int_vector
-        g7 = report.groups[by_id["t0"].group_index]
+        g7 = report.groups[by_id["t0"].group]
         assert by_id["t0"].r_total == g7.r_vector  # zero curiosity by default
 
     def test_totals_recompose_from_components(self):

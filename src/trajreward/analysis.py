@@ -9,8 +9,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .distance import NormalizedCurve
 from .rewards import TrajectoryFeatures
 
@@ -32,6 +30,18 @@ def _label_of(flag: bool | None) -> str:
     return "correct" if flag else "incorrect"
 
 
+def _mean(xs: Sequence[float]) -> float:
+    try:
+        return math.fsum(xs) / len(xs)  # correctly rounded
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        return sum(xs) / len(xs)  # inf or nan, as a plain float sum gives
+
+
+def _std(xs: Sequence[float]) -> float:
+    mean = _mean(xs)
+    return math.sqrt(_mean([(x - mean) ** 2 for x in xs]))
+
+
 def feature_statistics(
     features: Sequence[TrajectoryFeatures], labels: Sequence[bool | None]
 ) -> dict[str, LabelStats]:
@@ -48,15 +58,8 @@ def feature_statistics(
         group = buckets.get(label)
         if not group:
             continue
-        con = np.array([f.con for f in group])
-        vol = np.array([f.vol for f in group])
-        out[label] = LabelStats(
-            count=len(group),
-            con_mean=float(con.mean()),
-            con_std=float(con.std()),
-            vol_mean=float(vol.mean()),
-            vol_std=float(vol.std()),
-        )
+        con, vol = [f.con for f in group], [f.vol for f in group]
+        out[label] = LabelStats(len(group), _mean(con), _std(con), _mean(vol), _std(vol))
     return out
 
 
@@ -93,7 +96,7 @@ def curve_aggregate(
                     "label": label,
                     "bucket": bucket if bucket is not None else "all",
                     "state_index": i,
-                    "mean_point": float(np.mean(points)),
+                    "mean_point": _mean(points),
                     "count": len(points),
                 }
             )
@@ -119,7 +122,7 @@ def diversity_metrics(responses: Sequence[Sequence[str]], ngram_max: int = 4) ->
     entropy = token_entropy([tok for seq in token_seqs for tok in seq])
     if len(token_seqs) < 2:
         return DiversityMetrics(entropy, None)
-    return DiversityMetrics(entropy, float(np.mean(_self_bleu_scores(token_seqs, ngram_max))))
+    return DiversityMetrics(entropy, _mean(_self_bleu_scores(token_seqs, ngram_max)))
 
 
 def _self_bleu_scores(token_seqs: list[list[str]], max_n: int) -> list[float]:

@@ -28,7 +28,6 @@ from .distance import (
 from .errors import ScorerError, TrajRewardError
 from .rewards import TrajectoryFeatures, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
-from .simulate import FlowConfig, run_preset
 from .trajectory import load_prompt_batches, read_jsonl, write_json, write_jsonl
 
 EXIT_OK = 0
@@ -289,6 +288,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    from .simulate import FlowConfig, run_preset  # numpy, which no other command loads
+
     out = _out_dir(cfg)
     sim = cfg.simulate
     flow = FlowConfig(

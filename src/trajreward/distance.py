@@ -9,10 +9,9 @@ trajectory's own final answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .errors import EmptyAnswer, SingleAnswerBatch
 from .rewards import CuriosityConfig, step_curiosity
@@ -26,17 +25,17 @@ class DistanceMatrix:
     """T x K matrix of state-to-answer distances for one trajectory."""
 
     traj_id: str
-    values: np.ndarray
+    values: list[list[float]]
     answer_order: tuple[str, ...]
     correct: bool | None = None
 
     @property
     def num_states(self) -> int:
-        return self.values.shape[0]
+        return len(self.values)
 
     @property
     def num_answers(self) -> int:
-        return self.values.shape[1]
+        return len(self.values[0])
 
 
 @dataclass
@@ -48,7 +47,7 @@ class NormalizedCurve:
     """
 
     traj_id: str
-    points: np.ndarray
+    points: list[float]
     correct: bool | None = None
 
 
@@ -124,7 +123,7 @@ def batch_distance_matrices(
             [scores[ScoreRequest(traj.state_prefix(i), a)].token_logprobs for a in answers]
             for i in range(traj.num_steps)
         ]
-        values = np.array([[distance_from_logprobs(lp) for lp in row] for row in rows])
+        values = [[distance_from_logprobs(lp) for lp in row] for row in rows]
         matrices[traj.traj_id] = DistanceMatrix(traj.traj_id, values, answers, traj.correct)
     return matrices
 
@@ -163,14 +162,10 @@ def normalized_curve(matrix: DistanceMatrix) -> NormalizedCurve:
     """
     if matrix.num_answers < 2:
         raise SingleAnswerBatch("normalized curve needs at least two distinct answers")
-    own = matrix.values[:, 0]
-    rival = matrix.values[:, 1:].min(axis=1)
-    points = np.empty(matrix.num_states)
-    for i in range(matrix.num_states):
-        if rival[i] == 0.0:
-            points[i] = 1.0 if own[i] == 0.0 else np.inf
-        else:
-            points[i] = own[i] / rival[i]
+    points = []
+    for own, *rivals in matrix.values:
+        rival = min(rivals)
+        points.append(own / rival if rival != 0.0 else (1.0 if own == 0.0 else math.inf))
     return NormalizedCurve(matrix.traj_id, points, matrix.correct)
 
 
@@ -182,7 +177,7 @@ def write_matrices(matrices, path) -> None:
             "T": m.num_states,
             "K": m.num_answers,
             "answer_order": m.answer_order,
-            "rows": m.values.tolist(),
+            "rows": m.values,
             "correct": m.correct,
         }
         for m in matrices
@@ -199,6 +194,5 @@ def _matrix_record(rec: dict) -> DistanceMatrix:
     rows = rec["rows"]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows must be a non-empty rectangular table")
-    return DistanceMatrix(
-        rec["traj_id"], np.array(rows, dtype=float), tuple(rec["answer_order"]), rec.get("correct")
-    )
+    values = [[float(v) for v in row] for row in rows]
+    return DistanceMatrix(rec["traj_id"], values, tuple(rec["answer_order"]), rec.get("correct"))

@@ -245,7 +245,13 @@ def assemble_rewards(
         gr = group_rewards[group_of[t.traj_id]]
         r_int = gr.r_vector if variant == "vector" else gr.r_linear
         totals.append(r_int + curiosity_weight * features[t.traj_id].curiosity)
-    advantages = [0.0] * len(totals) if skip else normalize_advantages(totals)
+    try:
+        advantages = [0.0] * len(totals) if skip else normalize_advantages(totals)
+        finite = all(math.isfinite(x) for x in [*totals, *advantages])
+    except OverflowError:  # finite totals too far apart to square
+        finite = False
+    if not finite:  # inf and nan are not JSON numbers
+        raise ValueError(f"reward.curiosity_weight {curiosity_weight!r} makes a reward non-finite")
 
     rewards = []
     for t, total, adv in zip(batch.trajectories, totals, advantages):

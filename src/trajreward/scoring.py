@@ -22,8 +22,6 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Protocol
 from urllib.parse import urlsplit
 
-import numpy as np
-
 from .errors import CacheMiss, MalformedResponse, ServiceUnavailable
 from .trajectory import check_fields, read_jsonl
 
@@ -97,7 +95,7 @@ class ToyModel:
         self.init = init
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)}
         self._boosts: dict[tuple[str, ...], dict[int, float]] = {}
-        self._log_probs: dict[tuple[str, ...], np.ndarray] = {}
+        self._log_probs: dict = {}  # context -> numpy log-softmax table
 
     @classmethod
     def uniform(cls, vocabulary, order: int = 2, seed: int = 0) -> "ToyModel":
@@ -128,7 +126,9 @@ class ToyModel:
         deltas[tok_idx] = deltas.get(tok_idx, 0.0) + delta
         self._log_probs.pop(ctx, None)
 
-    def logits(self, context: tuple[str, ...]) -> np.ndarray:
+    def logits(self, context: tuple[str, ...]):
+        import numpy as np  # loaded here, so the file and http scorers never import it
+
         size = len(self.vocabulary)
         if self.init == "uniform":
             table = np.zeros(size)
@@ -139,10 +139,12 @@ class ToyModel:
             table[tok_idx] += delta
         return table
 
-    def log_probs(self, context: tuple[str, ...]) -> np.ndarray:
+    def log_probs(self, context: tuple[str, ...]):
         """Log-softmax of the context's logits, cached until its next boost."""
         table = self._log_probs.get(context)
         if table is None:
+            import numpy as np
+
             logits = self.logits(context)
             shifted = logits - logits.max()
             table = shifted - np.log(np.exp(shifted).sum())
@@ -217,10 +219,7 @@ class FileCacheScorer:
     def load(cls, path) -> "FileCacheScorer":
         """Read a cache file; a line that is not a cache entry is an InputError."""
         fields = {"key": str, "token_logprobs": list[float]}
-        entries = read_jsonl(
-            path, fields, lambda rec: (rec["key"], tuple(float(x) for x in rec["token_logprobs"]))
-        )
-        return cls(dict(entries))
+        return cls(dict(read_jsonl(path, fields, _cache_entry)))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:
@@ -253,6 +252,13 @@ class FileCacheScorer:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _cache_entry(rec: dict) -> tuple[str, tuple[float, ...]]:
+    logprobs = tuple(float(x) for x in rec["token_logprobs"])
+    if not all(math.isfinite(lp) for lp in logprobs):
+        raise ValueError(f"token_logprobs {list(logprobs)} holds a non-finite value")
+    return rec["key"], logprobs
 
 
 def _content_key(request: ScoreRequest) -> str:

@@ -1,8 +1,8 @@
 import itertools
 import math
+import statistics
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,31 +57,38 @@ class TestFeatureStatistics:
 
 class TestCurveAggregate:
     def test_single_curve_is_identity(self):
-        curve = NormalizedCurve("t", np.array([1.5, 0.8, 0.6]), True)
+        curve = NormalizedCurve("t", [1.5, 0.8, 0.6], True)
         rows = curve_aggregate([curve])
         assert [r["mean_point"] for r in rows] == [1.5, 0.8, 0.6]
         assert all(r["label"] == "correct" for r in rows)
 
     def test_two_identical_curves_average_to_same(self):
-        curve = NormalizedCurve("t", np.array([1.2, 0.9]), False)
+        curve = NormalizedCurve("t", [1.2, 0.9], False)
         rows = curve_aggregate([curve, curve])
         assert [r["mean_point"] for r in rows] == [1.2, 0.9]
         assert all(r["count"] == 2 for r in rows)
 
     def test_bucketing_by_length(self):
-        c2 = NormalizedCurve("a", np.array([1.0, 0.5]), True)
-        c3 = NormalizedCurve("b", np.array([2.0, 1.5, 0.5]), True)
+        c2 = NormalizedCurve("a", [1.0, 0.5], True)
+        c3 = NormalizedCurve("b", [2.0, 1.5, 0.5], True)
         rows = curve_aggregate([c2, c3], bucket_by_length=True)
         buckets = {r["bucket"] for r in rows}
         assert buckets == {2, 3}
 
     def test_mixed_lengths_without_bucketing(self):
-        c2 = NormalizedCurve("a", np.array([2.0, 0.4]), None)
-        c3 = NormalizedCurve("b", np.array([1.0, 0.8, 0.2]), None)
+        c2 = NormalizedCurve("a", [2.0, 0.4], None)
+        c3 = NormalizedCurve("b", [1.0, 0.8, 0.2], None)
         rows = curve_aggregate([c2, c3])
         by_index = {r["state_index"]: r for r in rows}
         assert by_index[0]["mean_point"] == pytest.approx(1.5)
         assert by_index[2]["count"] == 1
+
+    def test_mean_past_the_float_range(self):
+        # fsum raises on both; the mean is what a plain float sum gives
+        huge = [NormalizedCurve("a", [1e308], None), NormalizedCurve("b", [1e308], None)]
+        assert curve_aggregate(huge)[0]["mean_point"] == math.inf
+        signed = [NormalizedCurve("a", [math.inf], None), NormalizedCurve("b", [-math.inf], None)]
+        assert math.isnan(curve_aggregate(signed)[0]["mean_point"])
 
 
 def naive_bleu(hypothesis, references, max_n):
@@ -129,7 +136,7 @@ class TestDiversity:
             "a slow green turtle walks under a busy bridge".split(),
         ]
         metrics = diversity_metrics(responses, ngram_max=4)
-        expected = np.mean(
+        expected = statistics.fmean(
             [
                 naive_bleu(responses[i], responses[:i] + responses[i + 1 :], 4)
                 for i in range(3)
@@ -156,7 +163,7 @@ class TestDiversity:
     def test_self_bleu_equals_leave_one_out_naive_matcher(self, responses):
         # three symbols: ties for the top count, repeated grams, equal lengths,
         # and responses shorter than the highest order all come up
-        expected = np.mean(
+        expected = statistics.fmean(
             [naive_bleu(r, responses[:i] + responses[i + 1 :], 4) for i, r in enumerate(responses)]
         )
         assert diversity_metrics(responses).self_bleu == expected

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -264,6 +266,12 @@ class TestExitCodes:
             ("reward", "scorer: {source: http, backoff: -1}\n", "scorer.backoff -1 "),
             ("reward", "scorer: {source: http, timeout: -1}\n", "scorer.timeout -1 "),
             ("reward", "scorer: {source: http, timeout: .nan}\n", "scorer.timeout nan "),
+            # finite, but the total reward overflows to inf
+            (
+                "reward",
+                "reward: {curiosity_weight: 1.7e+308}\n",
+                "reward.curiosity_weight 1.7e+308 ",
+            ),
         ],
     )
     def test_bad_config_value_is_one_line_input_error(
@@ -319,6 +327,11 @@ class TestExitCodes:
                 "cache",
                 '{"key": "k", "token_logprobs": ["x"]}',
                 "field 'token_logprobs' must be list[float], not list",
+            ),
+            (
+                "cache",
+                '{"key": "k", "token_logprobs": [-1.0, NaN]}',
+                "token_logprobs [-1.0, nan] holds a non-finite value",
             ),
         ],
     )
@@ -918,3 +931,53 @@ class TestShippedFixture:
         assert shipped == expected
         cfg = yaml.safe_load((fixtures_dir / "planted_config.yaml").read_text())
         assert cfg["scorer"]["toy"] == planted_model(spec).to_config()
+
+    @pytest.mark.parametrize("weight", [1e308, 1e200])
+    def test_overflowing_curiosity_weight_writes_no_rewards(
+        self, fixtures_dir, tmp_path, capsys, weight
+    ):
+        # 1e308 makes r_total inf; 1e200 keeps it finite but its spread overflows when squared
+        cfg = yaml.safe_load((fixtures_dir / "planted_config.yaml").read_text())
+        cfg["input"] = str(fixtures_dir / "planted_batch.jsonl")
+        cfg["reward"]["curiosity_weight"] = weight
+        cfg_path = tmp_path / "weight.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["reward", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: reward.curiosity_weight {weight!r} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "rewards.jsonl").exists()
+
+    def test_reward_path_never_imports_numpy(self, fixtures_dir, tmp_path):
+        config = fixtures_dir / "planted_config.yaml"
+        batch = fixtures_dir / "planted_batch.jsonl"
+        scored = tmp_path / "scored"
+        argv = ["score", "--config", str(config), "--input", str(batch), "--out", str(scored)]
+        assert main(argv) == 0
+        file_cfg = tmp_path / "file.yaml"
+        cache = str(scored / "cache.jsonl")
+        file_cfg.write_text(yaml.safe_dump({"input": str(batch), "scorer": {"cache_path": cache}}))
+        run, analysis = tmp_path / "run", tmp_path / "analysis"
+        commands = [
+            ["reward", "--config", str(file_cfg), "--scorer", "file", "--out", str(run)],
+            [
+                "analyze", "--rewards", str(run / "rewards.jsonl"), "--matrices",
+                str(run / "matrices.jsonl"), "--input", str(batch), "--out", str(analysis),
+            ],
+            # the toy scorer's Dirichlet draws do need numpy, so the check is not vacuous
+            ["reward", "--config", str(config), "--input", str(batch), "--out", str(run) + "-toy"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from trajreward import cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # after import, file-scorer reward, analyze, then toy-scorer reward
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+        assert (analysis / "curves.csv").exists() and (analysis / "diversity.csv").exists()

@@ -58,21 +58,21 @@ class TestStateAnswerDistance:
     def test_certain_tokens_give_zero(self):
         traj = traj_of(["a b"], "7")
         m = matrix_of(traj, ["7"], FixedScorer({"7": [0.0, 0.0]}))
-        assert (m.values == 0.0).all()
+        assert all(v == 0.0 for row in m.values for v in row)
         assert distance_from_logprobs([0.0, 0.0]) == 0.0
 
     def test_hand_mean_of_two_tokens(self):
         traj = traj_of(["a b"], "7")
         m = matrix_of(traj, ["7"], FixedScorer({"7": [-1.0, -3.0]}))
-        assert (m.values == 2.0).all()
+        assert all(v == 2.0 for row in m.values for v in row)
         assert distance_from_logprobs([-1.0, -3.0]) == 2.0
 
     def test_uniform_vocab_three_token_answer(self):
         model = ToyModel.uniform(VOCAB, order=2)
         traj = traj_of(["a b"], "c d a")
         m = matrix_of(traj, ["c d a"], model)
-        assert m.values.shape == (1, 1)
-        assert m.values[0, 0] == pytest.approx(math.log(len(VOCAB)), abs=1e-12)
+        assert [len(row) for row in m.values] == [1]
+        assert m.values[0][0] == pytest.approx(math.log(len(VOCAB)), abs=1e-12)
 
     def test_empty_answer_rejected(self):
         # "$ $" canonicalizes to the empty string
@@ -89,7 +89,7 @@ class TestDistanceMatrix:
         # fallback answer handling keeps T = 1
         model = ToyModel(VOCAB, seed=0)
         m = matrix_of(traj, ["7"], model)
-        assert m.values.shape == (1, 1)
+        assert [len(row) for row in m.values] == [1]
 
     def test_entries_match_per_cell_recompute(self):
         traj = traj_of(["a b", "c d", "b a"], "7")
@@ -98,7 +98,7 @@ class TestDistanceMatrix:
         for i in range(m.num_states):
             for k, answer in enumerate(m.answer_order):
                 response = model.score(ScoreRequest(traj.state_prefix(i), answer))
-                assert m.values[i, k] == distance_from_logprobs(response.token_logprobs)
+                assert m.values[i][k] == distance_from_logprobs(response.token_logprobs)
 
     def test_batch_shapes(self):
         batch = PromptBatch("p", "q\n\n")
@@ -110,7 +110,7 @@ class TestDistanceMatrix:
         mats = matrices_of(batch, model)
         assert len(mats) == 4
         for j, T in enumerate(lengths):
-            assert mats[f"t{j}"].values.shape == (T, 2)
+            assert [len(row) for row in mats[f"t{j}"].values] == [2] * T
             assert mats[f"t{j}"].answer_order[0] == ("7" if j % 2 else "9")
 
     def test_own_answer_must_come_first(self):
@@ -122,13 +122,13 @@ class TestDistanceMatrix:
         model = ToyModel(VOCAB, seed=0)
         for i, answer in enumerate(["7", "9"]):
             response = model.score(ScoreRequest(traj.state_prefix(0), answer))
-            assert m.values[0, i] == distance_from_logprobs(response.token_logprobs)
+            assert m.values[0][i] == distance_from_logprobs(response.token_logprobs)
 
     def test_non_negative_on_random_models(self):
         model = ToyModel(VOCAB, seed=8)
         traj = traj_of(["a b c", "d a"], "7")
         m = matrix_of(traj, ["7", "9"], model)
-        assert (m.values >= 0).all()
+        assert all(v >= 0 for row in m.values for v in row)
 
     def test_monotone_response_to_boost(self):
         spec_steps = ["a b", "c d"]
@@ -139,7 +139,8 @@ class TestDistanceMatrix:
             boosted.boost([ctx], "7", 2.0)
         m0 = matrix_of(traj, ["7"], base)
         m1 = matrix_of(traj, ["7"], boosted)
-        assert (m1.values <= m0.values + 1e-12).all()
+        pairs = zip(sum(m1.values, []), sum(m0.values, []), strict=True)
+        assert all(v1 <= v0 + 1e-12 for v1, v0 in pairs)
 
     def test_export_roundtrip(self, tmp_path):
         traj = traj_of(["a b", "c"], "7")
@@ -150,12 +151,20 @@ class TestDistanceMatrix:
         (loaded,) = read_matrices(path)
         assert loaded.traj_id == m.traj_id
         assert loaded.answer_order == m.answer_order
-        assert np.array_equal(loaded.values, m.values)
+        assert loaded.values == m.values
+
+    def test_integer_cells_read_back_as_floats(self, tmp_path):
+        path = tmp_path / "matrices.jsonl"
+        path.write_text('{"traj_id": "t", "rows": [[1, 2]], "answer_order": ["7", "9"]}\n')
+        (loaded,) = read_matrices(path)
+        assert loaded.values == [[1.0, 2.0]]
+        assert all(type(v) is float for v in loaded.values[0])
+        assert normalized_curve(loaded).points == [0.5]
 
 
 class TestNormalizedCurve:
     def curve_for(self, rows):
-        return normalized_curve(DistanceMatrix("t", np.array(rows, dtype=float), ("7", "9")))
+        return normalized_curve(DistanceMatrix("t", rows, ("7", "9")))
 
     def test_half_when_rival_twice_as_far(self):
         assert self.curve_for([[1.0, 2.0]]).points[0] == 0.5
@@ -164,28 +173,28 @@ class TestNormalizedCurve:
         assert self.curve_for([[1.5, 1.5]]).points[0] == 1.0
 
     def test_zero_rival_is_inf_sentinel(self):
-        assert self.curve_for([[1.0, 0.0]]).points[0] == np.inf
+        assert self.curve_for([[1.0, 0.0]]).points[0] == math.inf
 
     def test_zero_tie_counts_consistent(self):
         assert self.curve_for([[0.0, 0.0]]).points[0] == 1.0
 
     def test_single_answer_rejected(self):
         with pytest.raises(SingleAnswerBatch):
-            normalized_curve(DistanceMatrix("t", np.array([[1.0]]), ("7",)))
+            normalized_curve(DistanceMatrix("t", [[1.0]], ("7",)))
 
     def test_points_below_one_iff_state_counts_consistent(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             T, K = int(rng.integers(1, 8)), int(rng.integers(2, 5))
-            values = rng.uniform(0, 3, (T, K))
+            values = rng.uniform(0, 3, (T, K)).tolist()
             # sprinkle exact ties and zeros
             if T > 1:
-                values[0, 0] = values[0, 1]
-                values[-1, rng.integers(K)] = 0.0
+                values[0][0] = values[0][1]
+                values[-1][rng.integers(K)] = 0.0
             m = DistanceMatrix("t", values, tuple(str(k) for k in range(K)))
             points = normalized_curve(m).points
             for i in range(T):
-                consistent_row = values[i, 0] == values[i].min()
+                consistent_row = values[i][0] == min(values[i])
                 assert (points[i] <= 1.0) == consistent_row
 
     def test_planted_correct_crosses_below_one_earlier(self):

@@ -288,7 +288,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    from .simulate import FlowConfig, run_preset  # numpy, which no other command loads
+    from .simulate import FlowConfig, run_preset  # imported here: no other command needs it
 
     out = _out_dir(cfg)
     sim = cfg.simulate

@@ -195,4 +195,6 @@ def _matrix_record(rec: dict) -> DistanceMatrix:
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows must be a non-empty rectangular table")
     values = [[float(v) for v in row] for row in rows]
+    if not all(0.0 <= v < math.inf for row in values for v in row):  # NaN fails too
+        raise ValueError("every distance must be finite and >= 0")
     return DistanceMatrix(rec["traj_id"], values, tuple(rec["answer_order"]), rec.get("correct"))

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from math import exp, isfinite, log
 from operator import mul
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InstanceInvalid, NonConvergence
-from .probes import probe_reward_perturbations
 from .trajectory import write_jsonl
+
+if TYPE_CHECKING:  # numpy is imported only where the math needs arrays
+    import numpy as np
 
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
 
@@ -39,6 +40,7 @@ class TabularPolicy:
 
     @classmethod
     def from_probs(cls, probs) -> "TabularPolicy":
+        import numpy as np
         p = np.asarray(probs, dtype=float)
         if (p <= 0).any():
             raise ValueError("initial probabilities must be strictly positive")
@@ -46,11 +48,12 @@ class TabularPolicy:
 
     @property
     def probs(self) -> np.ndarray:
+        import numpy as np
         return np.array(softmax(_floats(self.logits)))
 
 
 def _floats(values) -> list[float]:
-    return np.asarray(values, dtype=float).tolist()
+    return [float(x) for x in values]
 
 
 def _expectation(p: list[float], f: list[float]) -> float:
@@ -70,24 +73,25 @@ def _kl_tangent(p: list[float], ref_log_probs: list[float]) -> list[float]:
 
 def exact_policy_gradient(policy: TabularPolicy, rewards: np.ndarray) -> np.ndarray:
     """Exact objective gradient: component y is pi(y) * (r(y) - E_pi[r])."""
+    import numpy as np
     return np.array(_tangent(softmax(_floats(policy.logits)), _floats(rewards)))
 
 
 def kl_gradient(policy: TabularPolicy, ref_log_probs: np.ndarray) -> np.ndarray:
     """Gradient of KL(pi_theta || pi_ref) with respect to the logits."""
+    import numpy as np
     return np.array(_kl_tangent(softmax(_floats(policy.logits)), _floats(ref_log_probs)))
 
 
 def policy_velocity(probs: np.ndarray, rewards: np.ndarray) -> np.ndarray:
     """Closed-form d pi / dt under the exact gradient flow.
 
-    pi(y)^2 (r(y) - E[r]) - pi(y) * sum_y' pi(y')^2 (r(y') - E[r]).
+    pi(y)^2 (r(y) - E[r]) - pi(y) * sum_y' pi(y')^2 (r(y') - E[r]),
+    which is the tangent of the logit gradient g: pi(y) * (g(y) - E[g]).
     """
-    p = np.asarray(probs, dtype=float)
-    r = np.asarray(rewards, dtype=float)
-    centered = r - float(p @ r)
-    weighted = p * p * centered
-    return weighted - p * weighted.sum()
+    import numpy as np
+    p = _floats(probs)
+    return np.array(_tangent(p, _tangent(p, _floats(rewards))))
 
 
 @dataclass(frozen=True)
@@ -155,17 +159,17 @@ def flow_step(
     return new, softmax(new)
 
 
-def _run_flow(policy: TabularPolicy, config: FlowConfig, rewards_at, stop=None):
-    """Integrate the flow from ``policy`` with the KL reference at log pi_0.
+def _run_flow(logits, config: FlowConfig, rewards_at, stop=None):
+    """Integrate the flow from ``logits`` with the KL reference at log pi_0.
 
     Runs round(max_time / step_size) steps; ``rewards_at(p)`` is the
     reward list at the probability list p, and the run ends at the first
     step after t = 0 whose probabilities satisfy ``stop(p)``. Returns
-    arrays (times, probs, rewards) at the checkpoints: t = 0, every
+    lists (times, probs, rewards) at the checkpoints: t = 0, every
     ``record_every``-th step, the last step and a stopping step.
     """
     steps = int(round(config.max_time / config.step_size))
-    logits = _floats(policy.logits)
+    logits = _floats(logits)
     p = softmax(logits)
     ref_log_probs = [log(a) for a in p]
     r = rewards_at(p)
@@ -178,18 +182,19 @@ def _run_flow(policy: TabularPolicy, config: FlowConfig, rewards_at, stop=None):
             checkpoints.append((step * config.step_size, p, r))
         if stopped:
             break
-    times, probs, rewards = zip(*checkpoints)
-    return np.array(times), np.array(probs), np.array(rewards)
+    return [list(column) for column in zip(*checkpoints)]
 
 
 def growth_bound_satisfied(probs0, times, probs_series, rtol: float = 1e-9) -> bool:
     """Every checkpoint obeys pi_t(y) <= pi_0(y) * exp(2 t), up to rtol."""
-    p0 = np.asarray(probs0, dtype=float)
-    with np.errstate(over="ignore"):  # a cap past the float range is inf, never exceeded
-        for t, p in zip(times, probs_series):
-            cap = p0 * np.exp(GROWTH_RATE * float(t))
-            if (np.asarray(p) > cap * (1.0 + rtol)).any():
-                return False
+    p0 = _floats(probs0)
+    for t, p in zip(times, probs_series):
+        try:
+            growth = exp(GROWTH_RATE * float(t))
+        except OverflowError:  # a cap past the float range is inf, never exceeded
+            continue
+        if any(a > b * growth * (1.0 + rtol) for a, b in zip(p, p0)):
+            return False
     return True
 
 
@@ -238,6 +243,7 @@ def simulate_collapse(
     n = len(policy0.logits)
     if truth_index is not None and not 0 <= truth_index < n:
         raise ValueError(f"truth_index {truth_index} is not one of the {n} outputs")
+    import numpy as np
     rng = np.random.default_rng(config.seed)
 
     def majority_reward(p):
@@ -250,7 +256,7 @@ def simulate_collapse(
         rewards[star] = 1.0
         return rewards
 
-    times, probs, rewards = _run_flow(policy0, config, majority_reward)
+    times, probs, rewards = map(np.array, _run_flow(policy0.logits, config, majority_reward))
     stars = rewards.argmax(axis=1)
     modal = probs[np.arange(len(stars)), stars]
     truth = truth_index if truth_index is not None else int(stars[0])
@@ -282,25 +288,25 @@ class ConvergenceInstance:
     proxy elsewhere, so only the preferred outputs are over-rewarded.
     """
 
-    probs0: np.ndarray
-    r_true: np.ndarray
-    r_proxy: np.ndarray
+    probs0: list[float]  # a list or an array; stored as a list of floats
+    r_true: list[float]
+    r_proxy: list[float]
     gamma: float
     y_plus: tuple[int, ...]
 
     def __post_init__(self):
-        self.probs0 = np.asarray(self.probs0, dtype=float)
-        self.r_true = np.asarray(self.r_true, dtype=float)
-        self.r_proxy = np.asarray(self.r_proxy, dtype=float)
+        self.probs0 = _floats(self.probs0)
+        self.r_true = _floats(self.r_true)
+        self.r_proxy = _floats(self.r_proxy)
         self.y_plus = tuple(int(y) for y in self.y_plus)
 
     @property
     def initial_true(self) -> float:
-        return float(self.probs0 @ self.r_true)
+        return _expectation(self.probs0, self.r_true)
 
     @property
     def initial_proxy(self) -> float:
-        return float(self.probs0 @ self.r_proxy)
+        return _expectation(self.probs0, self.r_proxy)
 
     @property
     def rho(self) -> float:
@@ -323,7 +329,7 @@ class ConvergenceInstance:
 
         4 |Y+| / ((1 - rho) sigma) * (1 / pi0(Y+) - 1 / rho).
         """
-        mass_plus = float(self.probs0[list(self.y_plus)].sum())
+        mass_plus = sum(self.probs0[y] for y in self.y_plus)
         return (
             4.0
             * len(self.y_plus)
@@ -332,22 +338,21 @@ class ConvergenceInstance:
         )
 
     def validate(self) -> None:
+        # every check is written so that NaN fails it
         p0 = self.probs0
-        if abs(p0.sum() - 1.0) > 1e-9 or (p0 <= 0).any():
+        if not (all(p > 0 for p in p0) and abs(sum(p0) - 1.0) <= 1e-9):
             raise InstanceInvalid("probs0 must be a strictly positive distribution")
-        if self.gamma < 0:
-            raise InstanceInvalid("gamma must be >= 0")
-        if not self.y_plus:
-            raise InstanceInvalid("the preferred set is empty")
-        if ((self.r_true < 0) | (self.r_true > 1)).any() or (
-            (self.r_proxy < 0) | (self.r_proxy > 1)
-        ).any():
-            raise InstanceInvalid("reward values must lie in [0, 1]")
-        indicator = np.zeros(len(p0))
-        indicator[list(self.y_plus)] = 1.0
-        if not np.array_equal(self.r_true, indicator):
+        if not (isfinite(self.gamma) and self.gamma >= 0):
+            raise InstanceInvalid("gamma must be finite and >= 0")
+        y_plus, n = self.y_plus, len(p0)
+        if not (y_plus and len(set(y_plus)) == len(y_plus) and all(0 <= y < n for y in y_plus)):
+            raise InstanceInvalid("the preferred set must name one or more distinct outputs")
+        rewards = self.r_true + self.r_proxy
+        if len(self.r_proxy) != n or not all(0.0 <= r <= 1.0 for r in rewards):
+            raise InstanceInvalid("rewards must hold one value in [0, 1] per output")
+        if self.r_true != [float(y in y_plus) for y in range(n)]:
             raise InstanceInvalid("true reward must be the indicator of the preferred set")
-        if not np.all(self.r_proxy[list(self.y_plus)] == 1.0):
+        if not all(self.r_proxy[y] == 1.0 for y in y_plus):
             raise InstanceInvalid("proxy reward must be 1 on the preferred set")
         if self.gamma > 0 and not (0.0 < self.rho < 1.0):
             raise InstanceInvalid(f"rho = {self.rho} outside (0, 1)")
@@ -355,17 +360,16 @@ class ConvergenceInstance:
             if self.sigma <= 0:
                 raise InstanceInvalid("sigma must be positive")
             e0 = self.initial_proxy
-            for y in self.y_plus:
-                if not self.r_proxy[y] > e0:
-                    raise InstanceInvalid("preferred outputs must beat the initial proxy mean")
-            mass_plus = float(p0[list(self.y_plus)].sum())
-            mass_minus = float(p0[list(self.y_minus)].sum()) if self.y_minus else 0.0
+            if not all(self.r_proxy[y] > e0 for y in y_plus):
+                raise InstanceInvalid("preferred outputs must beat the initial proxy mean")
+            mass_plus = sum(p0[y] for y in y_plus)
+            mass_minus = sum(p0[y] for y in self.y_minus)
             cap = (
                 self.sigma
                 * (1.0 - self.rho)
                 * mass_plus**2
-                / (4.0 * len(self.y_plus))
-                * np.exp(-GROWTH_RATE * self.bound)
+                / (4.0 * len(y_plus))
+                * exp(-GROWTH_RATE * self.bound)
             )
             if mass_minus > cap:
                 raise InstanceInvalid(
@@ -377,9 +381,9 @@ class ConvergenceInstance:
 class ConvergenceReport:
     hit_time: float
     bound: float
-    times: np.ndarray
-    expected_true: np.ndarray
-    probs: np.ndarray  # checkpoints x outputs
+    times: list[float]
+    expected_true: list[float]
+    probs: list[list[float]]  # checkpoints x outputs
     growth_ok: bool
 
     @property
@@ -394,25 +398,25 @@ def simulate_convergence(instance: ConvergenceInstance, config: FlowConfig) -> C
     NonConvergence is raised when the horizon ends first.
     """
     instance.validate()
-    rho = instance.rho
-    r_true, r_proxy = _floats(instance.r_true), _floats(instance.r_proxy)
-    policy = TabularPolicy.from_probs(instance.probs0)
+    rho, r_true, r_proxy = instance.rho, instance.r_true, instance.r_proxy
+    total = sum(instance.probs0)
+    logits = [log(p / total) for p in instance.probs0]
     if instance.gamma == 0.0:
-        times, probs = np.zeros(1), policy.probs[None, :]
+        times, probs = [0.0], [softmax(logits)]
     else:
         # stops at the first discrete time at/above target: an upper bound
         # on the true hitting time, which is what the bound check needs
         reached = lambda p: _expectation(p, r_true) >= rho  # noqa: E731
-        times, probs, _ = _run_flow(policy, config, lambda p: r_proxy, reached)
+        times, probs, _ = _run_flow(logits, config, lambda p: r_proxy, reached)
     # the stop test's sum on the same floats, so a hit is never reported missed
-    expected = np.array([_expectation(p, r_true) for p in probs.tolist()])
-    if instance.gamma > 0.0 and expected[-1] < rho:
+    expected = [_expectation(p, r_true) for p in probs]
+    if instance.gamma > 0.0 and not expected[-1] >= rho:
         raise NonConvergence(
             f"target {rho} not reached by t = {config.max_time} "
             f"(final expected true reward {expected[-1]})"
         )
     return ConvergenceReport(
-        hit_time=float(times[-1]),
+        hit_time=times[-1],
         bound=instance.bound,
         times=times,
         expected_true=expected,
@@ -433,6 +437,7 @@ class LatentTabularModel:
     conditional: np.ndarray  # (S, Y), rows sum to 1
 
     def __post_init__(self):
+        import numpy as np
         self.prior = np.asarray(self.prior, dtype=float)
         self.conditional = np.asarray(self.conditional, dtype=float)
         if abs(self.prior.sum() - 1.0) > 1e-9 or (self.prior <= 0).any():
@@ -464,7 +469,7 @@ class ElboReport:
 
     @property
     def tight(self) -> bool:
-        return bool((np.abs(self.gaps) <= self.tol).all())
+        return bool((abs(self.gaps) <= self.tol).all())
 
 
 def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
@@ -476,6 +481,7 @@ def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
 
         log p(y) >= E_q[log p(y | s)] - KL(q || prior).
     """
+    import numpy as np
     q = np.asarray(q, dtype=float)
     n_latent, n_out = model.conditional.shape
     if q.ndim == 1:
@@ -494,8 +500,8 @@ def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
 
 
 def random_latent_model(n_latent: int, n_outputs: int, rng) -> LatentTabularModel:
-    prior = rng.dirichlet(np.ones(n_latent))
-    conditional = rng.dirichlet(np.ones(n_outputs), size=n_latent)
+    prior = rng.dirichlet([1.0] * n_latent)
+    conditional = rng.dirichlet([1.0] * n_outputs, size=n_latent)
     return LatentTabularModel(prior, conditional)
 
 
@@ -508,11 +514,9 @@ def preferred_mass_instance(mass: float) -> ConvergenceInstance:
 
     Mass 0.1 is the worked instance, whose bound is 1280 / 9.
     """
-    probs0 = np.full(5, (1.0 - mass) / 4.0)
-    probs0[0] = mass
-    rewards = np.zeros(5)
-    rewards[0] = 1.0
-    return ConvergenceInstance(probs0, rewards, rewards.copy(), gamma=0.4, y_plus=(0,))
+    rewards = [1.0, 0.0, 0.0, 0.0, 0.0]
+    probs0 = [mass] + [(1.0 - mass) / 4.0] * 4
+    return ConvergenceInstance(probs0, rewards, list(rewards), gamma=0.4, y_plus=(0,))
 
 
 WORKED_MASS = 0.1
@@ -521,7 +525,7 @@ SWEEP_MASSES = (0.3, 0.2, WORKED_MASS, 0.05)
 
 def _write_series(path: Path, report, e_true, e_proxy) -> None:
     write_jsonl(path, (
-        {"t": float(t), "pi": p.tolist(), "E_r_true": float(a), "E_r_proxy": float(b)}
+        {"t": float(t), "pi": _floats(p), "E_r_true": float(a), "E_r_proxy": float(b)}
         for t, p, a, b in zip(report.times, report.probs, e_true, e_proxy)
     ))
 
@@ -547,8 +551,7 @@ def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
         report = simulate_convergence(worked, flow)
     except NonConvergence as exc:
         return False, {"within_bound": False, "error": str(exc)}
-    r_proxy = _floats(worked.r_proxy)
-    proxy = [_expectation(p, r_proxy) for p in report.probs.tolist()]
+    proxy = [_expectation(p, worked.r_proxy) for p in report.probs]
     _write_series(out / "series.jsonl", report, report.expected_true, proxy)
 
     # hitting time vs initial preferred mass, as a columnar text table
@@ -575,6 +578,7 @@ def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
 
 
 def _elbo_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    import numpy as np
     model = random_latent_model(sim.n_latent, sim.n_outputs, np.random.default_rng(seed))
     prior_report = verify_elbo(model, model.prior)
     posterior_report = verify_elbo(model, model.posterior())
@@ -582,12 +586,13 @@ def _elbo_preset(sim, flow: FlowConfig, seed: int, out: Path):
         "prior_bound_holds": prior_report.holds,
         "posterior_tight": posterior_report.tight,
         "min_gap_prior": float(prior_report.gaps.min()),
-        "max_abs_gap_posterior": float(np.abs(posterior_report.gaps).max()),
+        "max_abs_gap_posterior": float(abs(posterior_report.gaps).max()),
     }
     return prior_report.holds and posterior_report.tight, assertions
 
 
 def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    import numpy as np
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
@@ -595,7 +600,7 @@ def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
         n = int(rng.integers(2, 6))
         policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
         rewards = rng.random(n).tolist()
-        times, probs, _ = _run_flow(policy, flow, lambda p: rewards)
+        times, probs, _ = map(np.array, _run_flow(policy.logits, flow, lambda p: rewards))
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
         with np.errstate(over="ignore"):  # an infinite cap gives a ratio of 0
@@ -606,6 +611,7 @@ def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
 
 
 def _probe_preset(sim, flow: FlowConfig, seed: int, out: Path):
+    from .probes import probe_reward_perturbations
     report = probe_reward_perturbations(sim.n_groups, seed)
     assertions = {
         "groups_checked": report.groups_checked,

@@ -324,6 +324,16 @@ class TestExitCodes:
                 "rows must be a non-empty rectangular table",
             ),
             (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8", "9"], "rows": [[1.0, 2.0, NaN]]}',
+                "every distance must be finite and >= 0",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[-0.5, 1.0]]}',
+                "every distance must be finite and >= 0",
+            ),
+            (
                 "cache",
                 '{"key": "k", "token_logprobs": ["x"]}',
                 "field 'token_logprobs' must be list[float], not list",
@@ -981,3 +991,31 @@ class TestShippedFixture:
         # after import, file-scorer reward, analyze, then toy-scorer reward
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
         assert (analysis / "curves.csv").exists() and (analysis / "diversity.csv").exists()
+
+    def test_convergence_path_never_imports_numpy(self, tmp_path):
+        convergence, elbo = tmp_path / "convergence", tmp_path / "elbo"
+        commands = [
+            ["simulate", "--preset", "convergence", "--out", str(convergence)],
+            # the ELBO check does need numpy, so the guard is not vacuous
+            ["simulate", "--preset", "elbo", "--out", str(elbo)],
+        ]
+        code = (
+            "import json, sys\n"
+            "from trajreward import simulate\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "flow = simulate.FlowConfig(step_size=0.01, max_time=200.0, record_every=100)\n"
+            "report = simulate.simulate_convergence(simulate.preferred_mass_instance(0.1), flow)\n"
+            "assert report.within_bound and report.growth_ok\n"
+            "seen.append('numpy' in sys.modules)\n"
+            "from trajreward import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # after import, simulate_convergence, the convergence preset, then the elbo preset
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+        assert json.loads((convergence / "assertions.json").read_text())["within_bound"] is True
+        assert (convergence / "series.jsonl").exists() and (convergence / "sweep.txt").exists()

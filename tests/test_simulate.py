@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,8 +264,8 @@ def test_float_loop_matches_numpy_loop():
         times, probs = numpy_convergence(instance, config)
         h = config.step_size
         assert round(report.hit_time / h) == round(times[-1] / h)
-        assert report.times.tolist() == times.tolist()
-        assert np.abs(report.probs - probs).max() <= 1e-14
+        assert report.times == times.tolist()
+        assert np.abs(np.array(report.probs) - probs).max() <= 1e-14
 
 
 def test_checkpoints_at_record_every_and_last_step():
@@ -362,12 +363,12 @@ class TestConvergence:
     def test_invalid_instances_rejected(self):
         good = simple_instance()
         bad_proxy = ConvergenceInstance(
-            good.probs0, good.r_true, good.r_proxy * 0.5, gamma=0.4, y_plus=(0,)
+            good.probs0, good.r_true, [0.5 * r for r in good.r_proxy], gamma=0.4, y_plus=(0,)
         )
         with pytest.raises(InstanceInvalid):
             bad_proxy.validate()
         not_indicator = ConvergenceInstance(
-            good.probs0, good.r_true * 0.9, good.r_proxy, gamma=0.4, y_plus=(0,)
+            good.probs0, [0.9 * r for r in good.r_true], good.r_proxy, gamma=0.4, y_plus=(0,)
         )
         with pytest.raises(InstanceInvalid):
             not_indicator.validate()
@@ -376,6 +377,31 @@ class TestConvergence:
             rho_too_big.validate()
         with pytest.raises(InstanceInvalid):
             ConvergenceInstance(good.probs0, good.r_true, good.r_proxy, 0.4, ()).validate()
+        for y_plus in [(5,), (0, -1), (0, 0)]:  # outputs that are not there, or named twice
+            with pytest.raises(InstanceInvalid):
+                ConvergenceInstance(good.probs0, good.r_true, good.r_proxy, 0.4, y_plus).validate()
+        with pytest.raises(InstanceInvalid):  # one proxy value short
+            ConvergenceInstance(good.probs0, good.r_true, good.r_proxy[:4], 0.4, (0,)).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field, gamma",
+        [("gamma", None), ("probs0", 0.4), ("probs0", 0.0), ("r_true", 0.4), ("r_proxy", 0.4)],
+    )
+    def test_non_finite_values_rejected(self, field, gamma, bad):
+        # NaN must fail every check: a NaN target is never reached, yet never missed either
+        values = {
+            "probs0": [0.1, 0.45, 0.45], "r_true": [1.0, 0.0, 0.0], "r_proxy": [1.0, 0.0, 0.0]
+        }
+        if field == "gamma":
+            gamma = bad
+        else:
+            values[field][0] = bad
+        instance = ConvergenceInstance(**values, gamma=gamma, y_plus=(0,))
+        with pytest.raises(InstanceInvalid):
+            instance.validate()
+        with pytest.raises(InstanceInvalid):
+            simulate_convergence(instance, FlowConfig(step_size=1e-2, max_time=5.0))
 
     def test_over_rewarded_mass_rejected(self):
         # a non-preferred output with proxy above the initial mean violates
@@ -407,6 +433,32 @@ class TestGrowthBound:
 
     def test_detects_violation(self):
         assert not growth_bound_satisfied([0.5, 0.5], [0.1], [[0.8, 0.2]])
+
+    def test_cap_past_the_float_range(self):
+        # exp(2 t) overflows a float from t = 355 on: the cap is then infinite
+        p0 = [1e-300, 1.0 - 1e-300]
+        times = [0.0, 354.0, 355.0, 1e6, float("inf")]
+        probs = [p0, [0.5, 0.5], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert growth_bound_satisfied(p0, times, probs)
+            assert growth_bound_satisfied(np.array(p0), np.array(times), np.array(probs))
+            # a breach before the overflow is still caught, whatever follows it
+            times, probs = [0.0, 1.0, 400.0], [p0, [1e-100, 1.0], [1.0, 0.0]]
+            assert not growth_bound_satisfied(p0, times, probs)
+            assert not growth_bound_satisfied(np.array(p0), np.array(times), np.array(probs))
+
+    def test_same_verdict_on_lists_and_arrays(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            p0 = rng.dirichlet(np.ones(n))
+            times = np.sort(rng.uniform(0.0, 2.0, size=4))
+            probs = rng.dirichlet(np.ones(n), size=4)
+            verdict = growth_bound_satisfied(p0, times, probs)
+            assert growth_bound_satisfied(p0.tolist(), times.tolist(), probs.tolist()) == verdict
+            caps = p0 * np.exp(2.0 * times[:, None])
+            assert verdict == bool((probs <= caps * (1.0 + 1e-9)).all())
 
 
 class TestElbo:

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 
 from trajreward import cli, distance, simulate
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def wrapped_targets() -> tuple:
@@ -95,3 +97,30 @@ def test_flow_step_runs_once_per_step(monkeypatch):
     report = simulate.simulate_convergence(simulate.preferred_mass_instance(0.1), config)
     assert calls > 0
     assert calls == round(report.hit_time / config.step_size)
+
+
+def test_benchmark_flow_child_runs_on_list_reports(monkeypatch, tmp_path):
+    # the benchmark's flow child, imported as it is, without writing bytecode into bench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    flow_child = importlib.import_module("flow_child")
+    inputs = importlib.import_module("inputs")
+    instances = [
+        dict(inputs.sweep_instance(mass), step_size=1e-2, max_time=100.0, record_every=200)
+        for mass in inputs.SWEEP_MASSES[:2]
+    ]
+    instances_path, results_path = tmp_path / "instances.json", tmp_path / "results.json"
+    instances_path.write_text(json.dumps(instances))
+    calls = Counter()
+    count_calls(monkeypatch, simulate, "flow_step", calls)
+    assert flow_child.run(str(instances_path), str(results_path)) == 0
+    results = json.loads(results_path.read_text())
+    assert len(results) == 2
+    for result in results:
+        assert "error" not in result, result
+        assert isinstance(result["hit_time"], float) and result["hit_time"] > 0.0
+        assert result["times"][-1] == result["hit_time"]
+        assert all(isinstance(t, float) for t in result["times"])
+        assert len(result["probs"]) == len(result["times"])
+        assert all(isinstance(x, float) for row in result["probs"] for x in row)
+    assert calls["flow_step"] == sum(round(r["hit_time"] / 1e-2) for r in results)

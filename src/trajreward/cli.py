@@ -288,20 +288,11 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    from .simulate import FlowConfig, run_preset  # imported here: no other command needs it
+    """Run the configured preset and write assertions.json; exit 5 if a check fails."""
+    from .simulate import run_preset  # imported here: no other command needs it
 
     out = _out_dir(cfg)
-    sim = cfg.simulate
-    flow = FlowConfig(
-        step_size=sim.step_size,
-        max_time=sim.max_time,
-        integrator=sim.integrator,
-        kl_coefficient=sim.kl_coefficient,
-        sample_count=sim.sample_count,
-        seed=cfg.seed,
-        record_every=sim.record_every,
-    )
-    ok, assertions = run_preset(sim, flow, cfg.seed, out)
+    ok, assertions = run_preset(cfg.simulate, cfg.seed, out)
     write_json(out / "assertions.json", assertions)
     for name, value in sorted(assertions.items()):
         print(f"{name}: {value}")

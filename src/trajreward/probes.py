@@ -50,6 +50,8 @@ def _features(con, vol) -> list[TrajectoryFeatures]:
 
 def probe_reward_perturbations(n_groups: int = 10_000, seed: int = 0) -> ProbeReport:
     """Check the perturbation identities over ``n_groups`` random groups."""
+    if n_groups < 1:
+        raise ValueError(f"n_groups {n_groups} must be >= 1")
     rng = np.random.default_rng(seed)
     report = ProbeReport()
     sizes = np.array([1, 2, 4, 8, 16])

@@ -10,7 +10,7 @@ that run these checks and write their results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import exp, isfinite, log
 from operator import mul
 from pathlib import Path
@@ -23,6 +23,13 @@ if TYPE_CHECKING:  # numpy is imported only where the math needs arrays
     import numpy as np
 
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
+
+
+def _check_distribution(name: str, p, strict: bool = True, error=ValueError) -> None:
+    """Raise ``error`` unless p's entries are > 0 (>= 0 unless ``strict``) and sum to 1."""
+    if not (all(x > 0 if strict else x >= 0 for x in p) and abs(sum(p) - 1.0) <= 1e-9):
+        sign = "positive" if strict else "non-negative"
+        raise error(f"{name} {_floats(p)} must be {sign} and sum to 1 within 1e-9")
 
 
 def softmax(logits: list[float]) -> list[float]:
@@ -39,11 +46,10 @@ class TabularPolicy:
     logits: np.ndarray
 
     @classmethod
-    def from_probs(cls, probs) -> "TabularPolicy":
+    def from_probs(cls, pi0) -> "TabularPolicy":
         import numpy as np
-        p = np.asarray(probs, dtype=float)
-        if (p <= 0).any():
-            raise ValueError("initial probabilities must be strictly positive")
+        p = np.asarray(pi0, dtype=float)
+        _check_distribution("pi0", p)
         return cls(np.log(p / p.sum()))
 
     @property
@@ -108,13 +114,13 @@ class FlowConfig:
 
     def __post_init__(self):
         if not self.step_size > 0:  # NaN fails too
-            raise ValueError("step_size must be positive")
+            raise ValueError(f"step_size {self.step_size} must be positive")
         if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ValueError(f"integrator {self.integrator!r} is not 'euler' or 'rk4'")
         if not (isfinite(self.kl_coefficient) and self.kl_coefficient >= 0):
-            raise ValueError("kl_coefficient must be finite and >= 0")
+            raise ValueError(f"kl_coefficient {self.kl_coefficient} must be finite and >= 0")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every {self.record_every} must be >= 1")
 
 
 def flow_step(
@@ -137,8 +143,7 @@ def flow_step(
         if with_kl:
             if not all(a > 0.0 for a in p):  # log p of the KL term needs every p > 0
                 raise ValueError(
-                    f"simulate.kl_coefficient {lam} is too stiff for simulate.step_size {h}: "
-                    "a probability fell to 0"
+                    f"kl_coefficient {lam} is too stiff for step_size {h}: a probability fell to 0"
                 )
             grad = [g - lam * k for g, k in zip(grad, _kl_tangent(p, ref_log_probs))]
         return grad
@@ -168,7 +173,13 @@ def _run_flow(logits, config: FlowConfig, rewards_at, stop=None):
     lists (times, probs, rewards) at the checkpoints: t = 0, every
     ``record_every``-th step, the last step and a stopping step.
     """
-    steps = int(round(config.max_time / config.step_size))
+    steps = config.max_time / config.step_size
+    if not (isfinite(steps) and round(steps) >= 1):
+        raise ValueError(
+            f"max_time {config.max_time} must span a finite number of steps, "
+            f"at least one, of step_size {config.step_size}"
+        )
+    steps = round(steps)
     logits = _floats(logits)
     p = softmax(logits)
     ref_log_probs = [log(a) for a in p]
@@ -185,15 +196,20 @@ def _run_flow(logits, config: FlowConfig, rewards_at, stop=None):
     return [list(column) for column in zip(*checkpoints)]
 
 
+def _growth_caps(p0: list[float], t) -> list[float]:
+    """The caps pi_0(y) * exp(2 t) on the probabilities at time t."""
+    try:
+        growth = exp(GROWTH_RATE * float(t))
+    except OverflowError:  # a cap past the float range is inf, never exceeded
+        growth = float("inf")
+    return [b * growth for b in p0]
+
+
 def growth_bound_satisfied(probs0, times, probs_series, rtol: float = 1e-9) -> bool:
     """Every checkpoint obeys pi_t(y) <= pi_0(y) * exp(2 t), up to rtol."""
     p0 = _floats(probs0)
     for t, p in zip(times, probs_series):
-        try:
-            growth = exp(GROWTH_RATE * float(t))
-        except OverflowError:  # a cap past the float range is inf, never exceeded
-            continue
-        if any(a > b * growth * (1.0 + rtol) for a, b in zip(p, p0)):
+        if any(a > cap * (1.0 + rtol) for a, cap in zip(p, _growth_caps(p0, t))):
             return False
     return True
 
@@ -224,7 +240,7 @@ class CollapseReport:
 
 
 def simulate_collapse(
-    policy0: TabularPolicy,
+    pi0: TabularPolicy,
     config: FlowConfig,
     mode: str = "exact",
     truth_index: int | None = None,
@@ -236,13 +252,17 @@ def simulate_collapse(
     the lowest index); "sampled" re-derives the modal output each step
     from ``sample_count`` fresh draws.
     """
-    if len(policy0.logits) < 2:
-        raise ValueError("collapse needs at least two outputs")
+    n = len(pi0.logits)
+    if n < 2:
+        raise ValueError(f"pi0 has {n} output(s); collapse needs at least two")
     if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown collapse mode {mode!r}")
-    n = len(policy0.logits)
+        raise ValueError(f"mode {mode!r} is not 'exact' or 'sampled'")
     if truth_index is not None and not 0 <= truth_index < n:
         raise ValueError(f"truth_index {truth_index} is not one of the {n} outputs")
+    if not 0.0 < target < 1.0:  # a softmax policy reaches neither bound; NaN fails too
+        raise ValueError(f"target {target} must lie in (0, 1)")
+    if mode == "sampled" and config.sample_count < 1:
+        raise ValueError(f"sample_count {config.sample_count} must be >= 1 when sampled")
     import numpy as np
     rng = np.random.default_rng(config.seed)
 
@@ -256,7 +276,7 @@ def simulate_collapse(
         rewards[star] = 1.0
         return rewards
 
-    times, probs, rewards = map(np.array, _run_flow(policy0.logits, config, majority_reward))
+    times, probs, rewards = map(np.array, _run_flow(pi0.logits, config, majority_reward))
     stars = rewards.argmax(axis=1)
     modal = probs[np.arange(len(stars)), stars]
     truth = truth_index if truth_index is not None else int(stars[0])
@@ -340,8 +360,7 @@ class ConvergenceInstance:
     def validate(self) -> None:
         # every check is written so that NaN fails it
         p0 = self.probs0
-        if not (all(p > 0 for p in p0) and abs(sum(p0) - 1.0) <= 1e-9):
-            raise InstanceInvalid("probs0 must be a strictly positive distribution")
+        _check_distribution("probs0", p0, error=InstanceInvalid)
         if not (isfinite(self.gamma) and self.gamma >= 0):
             raise InstanceInvalid("gamma must be finite and >= 0")
         y_plus, n = self.y_plus, len(p0)
@@ -440,10 +459,9 @@ class LatentTabularModel:
         import numpy as np
         self.prior = np.asarray(self.prior, dtype=float)
         self.conditional = np.asarray(self.conditional, dtype=float)
-        if abs(self.prior.sum() - 1.0) > 1e-9 or (self.prior <= 0).any():
-            raise ValueError("prior must be a strictly positive distribution")
-        if (np.abs(self.conditional.sum(axis=1) - 1.0) > 1e-9).any():
-            raise ValueError("conditional rows must sum to 1")
+        _check_distribution("prior", self.prior)
+        for row in self.conditional:
+            _check_distribution("conditional row", row, strict=False)
 
     @property
     def marginal(self) -> np.ndarray:
@@ -488,8 +506,8 @@ def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
         q = np.tile(q, (n_out, 1))
     if q.shape != (n_out, n_latent):
         raise ValueError(f"q must have shape ({n_out}, {n_latent})")
-    if (q <= 0).any():
-        raise ValueError("variational distribution must be strictly positive")
+    if not (np.isfinite(q).all() and (q > 0).all()):  # NaN fails too
+        raise ValueError("q must be finite and strictly positive")
     q = q / q.sum(axis=1, keepdims=True)
 
     log_marginal = np.log(model.marginal)
@@ -500,6 +518,9 @@ def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
 
 
 def random_latent_model(n_latent: int, n_outputs: int, rng) -> LatentTabularModel:
+    for name, n in (("n_latent", n_latent), ("n_outputs", n_outputs)):
+        if n < 1:
+            raise ValueError(f"{name} {n} must be >= 1")
     prior = rng.dirichlet([1.0] * n_latent)
     conditional = rng.dirichlet([1.0] * n_outputs, size=n_latent)
     return LatentTabularModel(prior, conditional)
@@ -530,9 +551,9 @@ def _write_series(path: Path, report, e_true, e_proxy) -> None:
     ))
 
 
-def _collapse_preset(sim, flow: FlowConfig, seed: int, out: Path):
-    policy0 = TabularPolicy.from_probs(sim.pi0)
-    report = simulate_collapse(policy0, flow, sim.mode, sim.truth_index, sim.target)
+def _collapse_preset(sim, flow: FlowConfig, out: Path):
+    pi0 = TabularPolicy.from_probs(sim.pi0)
+    report = simulate_collapse(pi0, flow, sim.mode, sim.truth_index, sim.target)
     _write_series(out / "series.jsonl", report, report.true_accuracy, report.expected_proxy)
     assertions = {
         "converged": report.converged,
@@ -545,7 +566,7 @@ def _collapse_preset(sim, flow: FlowConfig, seed: int, out: Path):
     return report.converged and report.monotone and report.growth_ok, assertions
 
 
-def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
+def _convergence_preset(sim, flow: FlowConfig, out: Path):
     worked = preferred_mass_instance(WORKED_MASS)
     try:
         report = simulate_convergence(worked, flow)
@@ -577,9 +598,9 @@ def _convergence_preset(sim, flow: FlowConfig, seed: int, out: Path):
     return report.within_bound and report.growth_ok and sweep_ok, assertions
 
 
-def _elbo_preset(sim, flow: FlowConfig, seed: int, out: Path):
+def _elbo_preset(sim, flow: FlowConfig, out: Path):
     import numpy as np
-    model = random_latent_model(sim.n_latent, sim.n_outputs, np.random.default_rng(seed))
+    model = random_latent_model(sim.n_latent, sim.n_outputs, np.random.default_rng(flow.seed))
     prior_report = verify_elbo(model, model.prior)
     posterior_report = verify_elbo(model, model.posterior())
     assertions = {
@@ -591,28 +612,27 @@ def _elbo_preset(sim, flow: FlowConfig, seed: int, out: Path):
     return prior_report.holds and posterior_report.tight, assertions
 
 
-def _growth_preset(sim, flow: FlowConfig, seed: int, out: Path):
+def _growth_preset(sim, flow: FlowConfig, out: Path):
     import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(flow.seed)
     ok = True
     worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
         rewards = rng.random(n).tolist()
-        times, probs, _ = map(np.array, _run_flow(policy.logits, flow, lambda p: rewards))
+        times, probs, _ = _run_flow(policy.logits, flow, lambda p: rewards)
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
-        with np.errstate(over="ignore"):  # an infinite cap gives a ratio of 0
-            for t, p in zip(times[1:], probs[1:]):
-                worst = max(worst, float((p / (p0 * np.exp(GROWTH_RATE * t))).max()))
+        for t, p in zip(times[1:], probs[1:]):
+            worst = max(worst, *(a / cap for a, cap in zip(p, _growth_caps(p0, t))))
         ok = ok and growth_bound_satisfied(p0, times, probs)
     return ok, {"growth_bound": ok, "worst_ratio_to_cap": worst}
 
 
-def _probe_preset(sim, flow: FlowConfig, seed: int, out: Path):
+def _probe_preset(sim, flow: FlowConfig, out: Path):
     from .probes import probe_reward_perturbations
-    report = probe_reward_perturbations(sim.n_groups, seed)
+    report = probe_reward_perturbations(sim.n_groups, flow.seed)
     assertions = {
         "groups_checked": report.groups_checked,
         "violations": report.total_violations,
@@ -630,33 +650,19 @@ PRESETS = {
 }
 
 
-def run_preset(sim, flow: FlowConfig, seed: int, out: Path) -> tuple[bool, dict]:
+def run_preset(sim, seed: int, out: Path) -> tuple[bool, dict]:
     """Run the preset named by ``sim.preset``; return (passed, assertions).
 
-    ``sim`` is a run config's ``simulate`` section. Presets that produce
-    a series or a sweep table write it into ``out``. Settings that would
-    turn a verdict vacuous or meaningless are a ValueError naming the
-    field, so a failed assertion always means a failed check.
+    ``sim`` is a run config's ``simulate`` section; presets that produce a
+    series or a sweep table write it into ``out``. A setting that would make
+    a verdict vacuous is rejected by the function that takes it, with a
+    ValueError that begins with the field's name; here it gains the prefix
+    ``simulate.``. So a failed assertion always means a failed check.
     """
-    if sim.preset not in PRESETS:
-        raise ValueError(f"unknown simulate preset {sim.preset!r}")
-    if sim.preset == "collapse":
-        # the rule ConvergenceInstance and the ELBO prior apply; NaN and inf fail it
-        if not (all(p > 0 for p in sim.pi0) and abs(sum(sim.pi0) - 1.0) <= 1e-9):
-            raise ValueError(f"simulate.pi0 {sim.pi0} must be positive and sum to 1 within 1e-9")
-        if sim.mode == "sampled" and flow.sample_count < 1:
-            raise ValueError(f"simulate.sample_count {flow.sample_count} must be >= 1 when sampled")
-    if sim.preset in ("collapse", "convergence", "growth-bound"):
-        steps = flow.max_time / flow.step_size
-        if not (isfinite(steps) and round(steps) >= 1):
-            raise ValueError(
-                f"simulate.max_time {flow.max_time} must span a finite number of steps, "
-                f"at least one, of step_size {flow.step_size}"
-            )
-    if sim.preset == "robustness-probe" and sim.n_groups < 1:
-        raise ValueError(f"simulate.n_groups {sim.n_groups} must be >= 1")
-    if sim.preset == "elbo":
-        for name in ("n_latent", "n_outputs"):
-            if getattr(sim, name) < 1:
-                raise ValueError(f"simulate.{name} {getattr(sim, name)} must be >= 1")
-    return PRESETS[sim.preset](sim, flow, seed, out)
+    try:
+        if sim.preset not in PRESETS:
+            raise ValueError(f"preset {sim.preset!r} is not one of {', '.join(PRESETS)}")
+        settings = {f.name: getattr(sim, f.name) for f in fields(FlowConfig) if f.name != "seed"}
+        return PRESETS[sim.preset](sim, FlowConfig(**settings, seed=seed), out)
+    except ValueError as exc:
+        raise ValueError(f"simulate.{exc}") from exc

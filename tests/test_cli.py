@@ -191,8 +191,12 @@ class TestExitCodes:
             ({"mode": "sampled", "sample_count": 0}, "simulate.sample_count"),
             ({"mode": "sampled", "sample_count": -3}, "simulate.sample_count"),
             ({"preset": "robustness-probe", "n_groups": 0}, "simulate.n_groups"),
-            ({"kl_coefficient": float("nan")}, "kl_coefficient"),
-            ({"step_size": float("nan")}, "step_size"),
+            ({"kl_coefficient": float("nan")}, "simulate.kl_coefficient"),
+            ({"step_size": float("nan")}, "simulate.step_size"),
+            # a softmax policy never reaches 1 and always exceeds 0
+            ({"target": float("nan")}, "simulate.target"),
+            ({"target": 0.0}, "simulate.target"),
+            ({"target": 1.5}, "simulate.target"),
             ({"preset": "elbo", "n_latent": 0}, "simulate.n_latent"),
             ({"preset": "elbo", "n_outputs": 0}, "simulate.n_outputs"),
             # a KL term stiff enough to push a probability to exactly 0
@@ -242,8 +246,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, text, message",
         [
-            ("simulate", "simulate: {record_every: 0}\n", "record_every must be >= 1"),
-            ("simulate", "simulate: {truth_index: 5}\n", "truth_index 5 is not one of the 2"),
+            ("simulate", "simulate: {record_every: 0}\n", "simulate.record_every 0 must be >= 1"),
+            (
+                "simulate",
+                "simulate: {truth_index: 5}\n",
+                "simulate.truth_index 5 is not one of the 2",
+            ),
             ("reward", "scorer: {toy: {}}\n", "scorer.toy: missing fields ['vocabulary']"),
             (
                 "reward",
@@ -910,8 +918,9 @@ SIMULATE_SECTIONS = st.fixed_dictionaries(
 
 class TestArbitrarySimulateSections:
     """Whatever a ``simulate`` section holds, the command exits 0, 2 or 5 with
-    at most one stderr line and no warning, and a failed check (exit 5)
-    reports only finite numbers."""
+    at most one stderr line and no warning, a rejected setting (exit 2) is
+    named as ``simulate.<field>`` or is a config error, and a failed check
+    (exit 5) reports only finite numbers."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(sim=SIMULATE_SECTIONS, seed=st.integers(-1, 2**64))
@@ -927,6 +936,8 @@ class TestArbitrarySimulateSections:
         assert code in (0, 2, 5)
         assert err.getvalue().count("\n") <= 1
         assert [str(w.message) for w in caught] == []
+        if code == 2:
+            assert err.getvalue().startswith(("error: simulate.", "error: bad config:"))
         if code == 5:
             assertions = json.loads((base / "o" / "assertions.json").read_text())
             numbers = [v for v in assertions.values() if isinstance(v, (int, float))]

@@ -8,6 +8,7 @@ import pytest
 from test_acceptance import _random_convergence_instance
 
 from trajreward.errors import InstanceInvalid, NonConvergence
+from trajreward.probes import probe_reward_perturbations
 from trajreward.simulate import (
     SWEEP_MASSES,
     ConvergenceInstance,
@@ -494,6 +495,48 @@ class TestElbo:
         model = LatentTabularModel(prior=[0.5, 0.5], conditional=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             verify_elbo(model, np.array([1.0, 0.0]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def collapse(*, mode="exact", target=0.99, **flow):
+    config = FlowConfig(**{"step_size": 1e-2, "max_time": 1.0, **flow})
+    return simulate_collapse(TabularPolicy.from_probs([0.6, 0.4]), config, mode, target=target)
+
+
+def convergence(**flow):
+    return simulate_convergence(preferred_mass_instance(0.1), FlowConfig(**flow))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: TabularPolicy.from_probs([NAN, 0.5]), "pi0"),
+        (lambda: TabularPolicy.from_probs([INF, 0.5]), "pi0"),
+        (lambda: TabularPolicy.from_probs([0.5, 0.7]), "pi0"),  # never renormalized
+        (lambda: LatentTabularModel([NAN, 0.5], [[0.5, 0.5], [0.5, 0.5]]), "prior"),
+        (lambda: LatentTabularModel([0.5, 0.5], [[NAN, 1.0], [0.5, 0.5]]), "conditional"),
+        (lambda: collapse(mode="sampled", sample_count=0), "sample_count"),
+        (lambda: collapse(target=NAN), "target"),
+        (lambda: collapse(target=0.0), "target"),
+        (lambda: collapse(target=1.0), "target"),
+        (lambda: collapse(max_time=INF), "max_time"),
+        (lambda: collapse(max_time=1e-3), "max_time"),  # zero steps
+        (lambda: convergence(max_time=INF), "max_time"),
+        (lambda: convergence(step_size=1e-2, max_time=1e-3), "max_time"),
+        (lambda: probe_reward_perturbations(0), "n_groups"),
+        (lambda: random_latent_model(0, 3, np.random.default_rng(0)), "n_latent"),
+        (lambda: random_latent_model(3, 0, np.random.default_rng(0)), "n_outputs"),
+    ],
+)
+def test_library_rejects_bad_argument_by_name(call, name):
+    # the CLI relies on these checks: it only prefixes the message with ``simulate.``
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert str(info.value).startswith(f"{name} ")
 
 
 def test_simulator_does_not_import_the_scoring_stack():

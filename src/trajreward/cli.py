@@ -11,12 +11,14 @@ Exit codes: 0 success, 2 input/config errors, 3 scorer errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
+from math import isfinite
 from pathlib import Path
 
 from . import analysis
-from .config import RunConfig, apply_overrides, load_config
+from .config import MAX_WORKERS, RunConfig, load_config
 from .distance import (
     batch_distance_matrices,
     curiosity_reward,
@@ -37,6 +39,15 @@ EXIT_INTERNAL = 4
 EXIT_BOUND = 5
 
 
+# each setting flag's argparse dest and the config field it sets; a flag's
+# value joins the config file's mapping and meets the same rules
+FLAG_FIELDS = {
+    "input": "input", "out": "out", "seed": "seed", "workers": "workers",
+    "scorer": "scorer.source", "variant": "reward.variant",
+    "curiosity_mode": "reward.curiosity_mode", "preset": "simulate.preset",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajreward",
@@ -46,13 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="YAML run config")
     common.add_argument("--input", help="line-delimited JSON trajectory file")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="global seed")
-    common.add_argument("--workers", type=int, help="scoring parallelism")
-    common.add_argument("--scorer", choices=["file", "http", "toy"], help="logprob source")
-    common.add_argument("--variant", choices=["linear", "vector"], help="intrinsic reward variant")
+    common.add_argument("--seed", type=int, help="global seed, >= 0")
+    common.add_argument("--workers", type=int, help=f"scoring threads, 1 to {MAX_WORKERS}")
+    common.add_argument("--scorer", help="logprob source: toy, file or http")
+    common.add_argument("--variant", help="intrinsic reward variant: linear or vector")
     common.add_argument(
         "--curiosity-mode",
-        choices=["eq10", "alg2"],
         dest="curiosity_mode",
         help="step term sign: eq10 = negated mean logprob (a distance), "
         "alg2 = raw logprob accumulation",
@@ -68,16 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--bucket-by-length", action="store_true", dest="bucket")
     p_sim = sub.add_parser("simulate", parents=[common], help="run a policy-flow check")
     p_sim.add_argument(
-        "--preset",
-        choices=["collapse", "convergence", "elbo", "growth-bound", "robustness-probe"],
+        "--preset", help="collapse, convergence, elbo, growth-bound or robustness-probe"
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {name: getattr(args, dest, None) for dest, name in FLAG_FIELDS.items()}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     try:
-        cfg = apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, overrides)
     except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -122,8 +133,6 @@ def _build_scorer(cfg: RunConfig):
         if not s.cache_path:
             raise ValueError("file scorer needs scorer.cache_path")
         return FileCacheScorer.load(s.cache_path)
-    if s.source != "http":
-        raise ValueError(f"unknown scorer source {s.source!r} (toy, file or http)")
     if s.cache_path and Path(s.cache_path).exists():
         cache = FileCacheScorer.load(s.cache_path)
     else:
@@ -180,6 +189,11 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     summary_rows = []
     matrices_all = []
     failures = []
+
+    def keep_replies():
+        if isinstance(source, HttpScorer) and cfg.scorer.cache_path:
+            source.cache.dump(cfg.scorer.cache_path)
+
     for batch in batches:
         try:
             scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
@@ -207,6 +221,10 @@ def cmd_reward(cfg: RunConfig, args) -> int:
                 }
             )
             continue
+        except BaseException:  # keep the replies received so far, then report what stopped us
+            with contextlib.suppress(OSError):
+                keep_replies()
+            raise
         reward_records.extend(
             {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
             for t, r in zip(batch.trajectories, report.rewards)
@@ -231,8 +249,7 @@ def cmd_reward(cfg: RunConfig, args) -> int:
         "n_failures": len(failures),
     }
     write_json(out / "summary.json", summary)
-    if isinstance(source, HttpScorer) and cfg.scorer.cache_path:
-        source.cache.dump(cfg.scorer.cache_path)
+    keep_replies()
     if failures:
         write_jsonl(out / "errors.jsonl", failures)
         print(f"{len(failures)} prompt batches failed; see {out / 'errors.jsonl'}", file=sys.stderr)
@@ -246,6 +263,8 @@ def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
     for name in ("con", "vol"):
         if not 0.0 <= rec[name] <= 1.0:  # fractions by construction; NaN fails too
             raise ValueError(f"{name} {rec[name]!r} is outside [0, 1]")
+    if not isfinite(rec["r_cur"]):  # the writer only writes finite curiosity
+        raise ValueError(f"r_cur {rec['r_cur']!r} is not finite")
     features = TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
     return features, rec.get("correct")
 

@@ -1,4 +1,4 @@
-"""Declarative run configuration with CLI-flag overrides.
+"""Declarative run configuration; CLI flags are fields of the same mapping.
 
 A run is reproducible from its config alone: every random choice flows
 from the single seed, and the resolved config is echoed into the output
@@ -15,8 +15,13 @@ from typing import get_type_hints
 
 import yaml
 
-from .rewards import CuriosityConfig
+from .rewards import VARIANTS, CuriosityConfig
+from .simulate import PRESETS
 from .trajectory import SegmentationRules, is_kind, kind_name, write_json
+
+
+# each worker is one scoring thread and, for http, one keep-alive connection
+MAX_WORKERS = 256
 
 
 @dataclass
@@ -37,6 +42,10 @@ class ScorerConfig:
         }
     )
 
+    def __post_init__(self):
+        if self.source not in ("toy", "file", "http"):
+            raise ValueError(f"scorer.source {self.source!r} is not one of toy, file, http")
+
 
 @dataclass
 class RewardConfig:
@@ -47,8 +56,14 @@ class RewardConfig:
     curiosity_denominator: str = "step"  # step | prefix
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"reward.variant {self.variant!r} is not one of {', '.join(VARIANTS)}")
         if not isfinite(self.curiosity_weight):  # NaN or inf would make r_total non-JSON
             raise ValueError(f"reward.curiosity_weight {self.curiosity_weight} must be finite")
+        try:
+            self.curiosity_config()
+        except ValueError as exc:
+            raise ValueError(f"reward.{exc}") from exc
 
     def curiosity_config(self) -> CuriosityConfig:
         return CuriosityConfig(self.curiosity_mode, self.curiosity_denominator)
@@ -71,6 +86,10 @@ class SimulateConfig:
     n_latent: int = 3
     n_outputs: int = 4
 
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ValueError(f"simulate.preset {self.preset!r} is not one of {', '.join(PRESETS)}")
+
 
 @dataclass
 class RunConfig:
@@ -83,33 +102,37 @@ class RunConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers {self.workers} is not in [1, {MAX_WORKERS}]")
+
     def echo(self, out_dir: Path) -> None:
         # each section serialises as its field dict; no deep copy of the toy boosts
         write_json(out_dir / "resolved_config.json", self)
 
 
-def _merge_section(cls, data):
+def _merge_section(cls, data: dict, prefix: str = ""):
     """``cls`` built from a config section, its sections built in turn.
 
     An unknown field, or a value whose kind differs from the field's
-    annotation (an int is accepted for a float), is a ValueError. A
-    section left empty (null) keeps its defaults.
+    annotation (an int is accepted for a float), is a ValueError naming
+    the dotted field. A section left empty (null) keeps its defaults.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} section must be a mapping, not {type(data).__name__}")
+        raise ValueError(f"{prefix.rstrip('.')} must be a mapping, not {type(data).__name__}")
     kinds = get_type_hints(cls)
     values = {}
     for key, value in data.items():
+        name = f"{prefix}{key}"
         if key not in kinds:
-            raise ValueError(f"unknown {cls.__name__} field {key!r}")
+            raise ValueError(f"{name} is not a config field")
         kind = kinds[key]
         if dataclasses.is_dataclass(kind):
-            value = _merge_section(kind, {} if value is None else value)
+            value = _merge_section(kind, {} if value is None else value, name + ".")
         elif not is_kind(value, kind):
-            raise ValueError(
-                f"{cls.__name__} field {key!r} must be {kind_name(kind)}, "
-                f"not {type(value).__name__}"
-            )
+            raise ValueError(f"{name} must be {kind_name(kind)}, not {type(value).__name__}")
         values[key] = value
     return cls(**values)
 
@@ -128,33 +151,21 @@ def _parse_yaml(fh, path):
         raise ValueError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from exc
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Build a RunConfig from a YAML mapping (missing path: defaults)."""
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from a YAML mapping (missing path: defaults) whose
+    values ``overrides`` replaces first, by dotted field (``"reward.variant"``)."""
     data = None
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = _parse_yaml(fh, path)
         if not isinstance(data, (dict, type(None))):
             raise ValueError(f"{path}: config must be a YAML mapping, not {type(data).__name__}")
-    return _merge_section(RunConfig, data or {})
-
-
-def apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """Apply explicitly-set CLI flags on top of the config file."""
-    if getattr(args, "input", None) is not None:
-        cfg.input = args.input
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "scorer", None) is not None:
-        cfg.scorer.source = args.scorer
-    if getattr(args, "variant", None) is not None:
-        cfg.reward.variant = args.variant
-    if getattr(args, "curiosity_mode", None) is not None:
-        cfg.reward.curiosity_mode = args.curiosity_mode
-    if getattr(args, "preset", None) is not None:
-        cfg.simulate.preset = args.preset
-    return cfg
+    data = data or {}
+    for dotted, value in (overrides or {}).items():
+        section, _, key = dotted.rpartition(".")
+        if section and data.get(section) is None:
+            data[section] = {}
+        target = data[section] if section else data
+        if isinstance(target, dict):  # else the section's own kind error is reported
+            target[key] = value
+    return _merge_section(RunConfig, data)

@@ -194,6 +194,9 @@ def _matrix_record(rec: dict) -> DistanceMatrix:
     rows = rec["rows"]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows must be a non-empty rectangular table")
+    T, K = len(rows), len(rows[0])
+    if rec.get("T", T) != T or rec.get("K", K) != K or len(rec["answer_order"]) != K:
+        raise ValueError(f"T, K and the answer_order length must match the {T} x {K} rows")
     values = [[float(v) for v in row] for row in rows]
     if not all(0.0 <= v < math.inf for row in values for v in row):  # NaN fails too
         raise ValueError("every distance must be finite and >= 0")

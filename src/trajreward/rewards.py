@@ -19,6 +19,7 @@ from .errors import EmptyGroup, MissingMatrix
 from .trajectory import PromptBatch, group_by_answer
 
 ADVANTAGE_EPS = 1e-8
+VARIANTS = ("linear", "vector")  # the intrinsic rewards assemble_rewards can give
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,13 @@ class CuriosityConfig:
     denominator: str = "step"
 
     def __post_init__(self):
+        # named by the run config fields that set them
         if self.sign not in ("eq10", "alg2"):
-            raise ValueError(f"unknown curiosity sign mode {self.sign!r}")
+            raise ValueError(f"curiosity_mode {self.sign!r} is not one of eq10, alg2")
         if self.denominator not in ("step", "prefix"):
-            raise ValueError(f"unknown curiosity denominator {self.denominator!r}")
+            raise ValueError(
+                f"curiosity_denominator {self.denominator!r} is not one of step, prefix"
+            )
 
 
 def step_curiosity(
@@ -210,7 +214,7 @@ def assemble_rewards(
     normalized over the whole batch. A batch whose answers all agree has
     no learning signal: it is flagged skip and every advantage is 0.
     """
-    if variant not in ("linear", "vector"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown reward variant {variant!r}")
     missing = [t.traj_id for t in batch.trajectories if t.traj_id not in matrices]
     if missing:

@@ -653,15 +653,14 @@ PRESETS = {
 def run_preset(sim, seed: int, out: Path) -> tuple[bool, dict]:
     """Run the preset named by ``sim.preset``; return (passed, assertions).
 
-    ``sim`` is a run config's ``simulate`` section; presets that produce a
+    ``sim`` is a run config's ``simulate`` section, whose ``preset`` was
+    checked when the section was built; presets that produce a
     series or a sweep table write it into ``out``. A setting that would make
     a verdict vacuous is rejected by the function that takes it, with a
     ValueError that begins with the field's name; here it gains the prefix
     ``simulate.``. So a failed assertion always means a failed check.
     """
     try:
-        if sim.preset not in PRESETS:
-            raise ValueError(f"preset {sim.preset!r} is not one of {', '.join(PRESETS)}")
         settings = {f.name: getattr(sim, f.name) for f in fields(FlowConfig) if f.name != "seed"}
         return PRESETS[sim.preset](sim, FlowConfig(**settings, seed=seed), out)
     except ValueError as exc:

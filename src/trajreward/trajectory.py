@@ -52,7 +52,7 @@ class SegmentationRules:
             try:
                 re.compile(getattr(self, name))
             except re.error as exc:
-                raise ValueError(f"segmentation {name} is not a regex: {exc}") from exc
+                raise ValueError(f"segmentation.{name} is not a regex: {exc}") from exc
 
 
 @dataclass

@@ -14,11 +14,12 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from trajreward import scoring
 from trajreward.cli import main
 from trajreward.distance import plan_requests
 from trajreward.errors import CacheMiss
 from trajreward.planted import PlantedSpec, planted_model, planted_records
-from trajreward.scoring import FileCacheScorer
+from trajreward.scoring import FileCacheScorer, HttpScorer, ToyModel
 from trajreward.trajectory import SegmentationRules, load_prompt_batches
 
 
@@ -63,6 +64,22 @@ def first_miss(cache, plan):
 def read_lines(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+@pytest.fixture
+def scorer_calls(monkeypatch):
+    """Every score call of every scorer, and every thread pool opened."""
+    calls = []
+    for cls in (ToyModel, FileCacheScorer, HttpScorer):
+        def counted(self, request, real=cls.score):
+            calls.append(request)
+            return real(self, request)
+        monkeypatch.setattr(cls, "score", counted)
+    monkeypatch.setattr(scoring, "ThreadPoolExecutor", lambda **kw: calls.append(kw))
+    return calls
+
+
+PRESETS = ["collapse", "convergence", "elbo", "growth-bound", "robustness-probe"]
 
 
 class TestExitCodes:
@@ -213,10 +230,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ") and err.count("\n") == 1
 
-    def test_unknown_preset_rejected(self, tmp_path):
+    def test_unknown_preset_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "sim.yaml"
         cfg_path.write_text(yaml.safe_dump({"simulate": {"preset": "mystery"}}))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["simulate", "--preset", "mystery", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == from_file
+        assert from_file.startswith("error: bad config: simulate.preset 'mystery' ")
+        assert not (tmp_path / "o").exists()  # rejected at load
+
+    @pytest.mark.parametrize(
+        "command, field, value, flags",
+        [
+            ("reward", "seed", -1, ["--seed", "-1"]),
+            ("reward", "workers", 0, ["--workers", "0"]),
+            ("reward", "workers", 257, ["--workers", "257"]),
+            ("reward", "reward.variant", "foo", ["--variant", "foo"]),
+            ("reward", "reward.curiosity_mode", "foo", ["--curiosity-mode", "foo"]),
+            ("reward", "reward.curiosity_denominator", "foo", None),
+            ("reward", "scorer.source", "tyo", ["--scorer", "tyo"]),
+            *((f"simulate {preset}", "seed", -1, ["--seed", "-1"]) for preset in PRESETS),
+        ],
+    )
+    def test_bad_setting_fails_alike_from_flag_and_file(
+        self, fixtures_dir, tmp_path, capsys, scorer_calls, command, field, value, flags
+    ):
+        command, *preset = command.split()
+
+        def run(cfg, argv):
+            cfg_path = tmp_path / "c.yaml"
+            cfg_path.write_text(yaml.safe_dump(cfg))
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *argv])
+            return code, capsys.readouterr().err
+
+        def base():
+            if preset:
+                return {"simulate": {"preset": preset[0]}}
+            cfg = yaml.safe_load((fixtures_dir / "planted_config.yaml").read_text())
+            return dict(cfg, input=str(fixtures_dir / "planted_batch.jsonl"))
+
+        in_file = base()
+        section, _, key = field.rpartition(".")
+        (in_file[section] if section else in_file)[key] = value
+        results = [run(in_file, [])] + ([run(base(), flags)] if flags else [])
+        for code, err in results:
+            assert code == 2
+            assert err.startswith(f"error: bad config: {field} {value!r} ")
+            assert err.count("\n") == 1
+        assert len({err for _, err in results}) == 1
+        # rejected at load: nothing scored, no thread pool, no output directory
+        assert scorer_calls == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -258,7 +323,7 @@ class TestExitCodes:
                 "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], delta: 1}]}}\n",
                 "scorer.toy: missing fields ['token']",
             ),
-            ("reward", "scorer: {source: tyo}\n", "unknown scorer source 'tyo'"),
+            ("reward", "scorer: {source: tyo}\n", "bad config: scorer.source 'tyo' "),
             (
                 "reward",
                 "scorer: {toy: {vocabulary: [a], boost: [{context: [a], token: a, delta: 1}]}}\n",
@@ -325,7 +390,37 @@ class TestExitCodes:
                 '{"traj_id": "t1", "con": 0.5, "vol": NaN, "r_cur": 0.0}',
                 "vol nan is outside [0, 1]",
             ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": NaN}',
+                "r_cur nan is not finite",
+            ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": -Infinity}',
+                "r_cur -inf is not finite",
+            ),
             ("analyze-matrices", '{"traj_id": "t1", "answer_order": []}', "missing fields ['rows']"),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["x"], "rows": [[1.0, 2.0]], "T": 5, "K": 9}',
+                "must match the 1 x 2 rows",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0]], "T": 2}',
+                "must match the 1 x 2 rows",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0]], "K": 3}',
+                "must match the 1 x 2 rows",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8", "9"], "rows": [[1.0, 2.0]]}',
+                "must match the 1 x 2 rows",
+            ),
             (
                 "analyze-matrices",
                 '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0], [3.0]]}',
@@ -616,7 +711,39 @@ class TestHttpCachePersistence:
         assert first == (base / "replay" / "rewards.jsonl").read_bytes()
 
 
-class TestSegmentCommand:
+    def test_cache_written_when_reward_stops_on_a_bad_value(self, planted_setup, scoring_service):
+        url, handler = scoring_service
+        cfg_file, base = self.http_config(planted_setup, url)
+        cfg = yaml.safe_load(cfg_file.read_text())
+        cfg["reward"]["curiosity_weight"] = 1.7e308  # r_total overflows after scoring
+        overflow = base / "overflow.yaml"
+        overflow.write_text(yaml.safe_dump(cfg))
+        assert main(["reward", "--config", str(overflow), "--out", str(base / "first")]) == 2
+        sent = len(handler.received)
+        assert sent
+        # the file scorer finds every request of the batch that stopped the run
+        replay = ["--scorer", "file", "--out", str(base / "replay")]
+        assert main(["reward", "--config", str(cfg_file), *replay]) == 0
+        assert len(handler.received) == sent
+
+    @pytest.mark.parametrize("weight, message", [(1.0, "cache.jsonl"), (1.7e308, "non-finite")])
+    def test_unwritable_cache_reported_after_outputs(
+        self, planted_setup, scoring_service, capsys, weight, message
+    ):
+        url, _ = scoring_service
+        cfg_file, base = self.http_config(planted_setup, url)
+        cfg = yaml.safe_load(cfg_file.read_text())
+        cfg["scorer"]["cache_path"] = str(base / "no_such_dir" / "cache.jsonl")
+        cfg["reward"]["curiosity_weight"] = weight
+        cfg_file.write_text(yaml.safe_dump(cfg))
+        out = base / "first"
+        assert main(["reward", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        # a finished run writes its outputs before the cache; a stopped run
+        # reports the error that stopped it, not the cache's
+        finished = weight == 1.0
+        assert (out / "summary.json").exists() == finished
     def test_writes_segments(self, planted_setup):
         cfg_path, base = planted_setup
         out = base / "seg"

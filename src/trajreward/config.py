@@ -16,6 +16,7 @@ from typing import get_type_hints
 import yaml
 
 from .rewards import VARIANTS, CuriosityConfig
+from .scoring import check_http_settings
 from .simulate import PRESETS
 from .trajectory import SegmentationRules, is_kind, kind_name, write_json
 
@@ -45,6 +46,7 @@ class ScorerConfig:
     def __post_init__(self):
         if self.source not in ("toy", "file", "http"):
             raise ValueError(f"scorer.source {self.source!r} is not one of toy, file, http")
+        check_http_settings(self.attempts, self.timeout, self.backoff)
 
 
 @dataclass

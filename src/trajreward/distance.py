@@ -17,7 +17,7 @@ from .errors import EmptyAnswer, SingleAnswerBatch
 from .rewards import CuriosityConfig, step_curiosity
 from .scoring import LogProbSource, ScoreRequest, ScoreResponse, score_batch
 from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer
-from .trajectory import read_jsonl, write_jsonl
+from .trajectory import is_kind, read_jsonl, write_jsonl
 
 
 @dataclass
@@ -79,25 +79,27 @@ def step_requests(traj: Trajectory) -> list[ScoreRequest]:
 
 
 def plan_requests(batch: PromptBatch, steps: bool) -> list[ScoreRequest]:
-    """Every distinct score request a prompt batch needs, in first-use order.
+    """Every distinct score request a prompt batch needs, grouped by prefix.
 
-    First the matrix cells (each state of each trajectory against each of
-    its candidate answers, row-major), then, with ``steps``, each
-    non-blank reasoning step continued from the state before it.
+    The requests are the matrix cells (each state of each trajectory
+    against each of its candidate answers) and, with ``steps``, each
+    non-blank reasoning step continued from the state before it. A
+    prefix's requests are contiguous; prefixes come in first-use order
+    (cells row-major, then steps), and so do each prefix's continuations.
     Requests with equal text, such as the bare-prompt cells shared by
     every trajectory, appear once.
     """
-    reqs: dict[ScoreRequest, None] = {}
+    groups: dict[str, dict[str, None]] = {}
     for traj, answers in _candidates(batch):
         if any(not a for a in answers):
             raise EmptyAnswer(f"empty candidate answer for traj {traj.traj_id!r}")
         for i in range(traj.num_steps):
-            prefix = traj.state_prefix(i)
-            reqs.update((ScoreRequest(prefix, answer), None) for answer in answers)
+            groups.setdefault(traj.state_prefix(i), {}).update(dict.fromkeys(answers))
     if steps:
         for traj in batch.trajectories:
-            reqs.update((req, None) for req in step_requests(traj))
-    return list(reqs)
+            for req in step_requests(traj):
+                groups.setdefault(req.prefix, {})[req.continuation] = None
+    return [ScoreRequest(prefix, c) for prefix, conts in groups.items() for c in conts]
 
 
 def score_plan(
@@ -194,10 +196,11 @@ def _matrix_record(rec: dict) -> DistanceMatrix:
     rows = rec["rows"]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows must be a non-empty rectangular table")
-    T, K = len(rows), len(rows[0])
-    if rec.get("T", T) != T or rec.get("K", K) != K or len(rec["answer_order"]) != K:
-        raise ValueError(f"T, K and the answer_order length must match the {T} x {K} rows")
     values = [[float(v) for v in row] for row in rows]
     if not all(0.0 <= v < math.inf for row in values for v in row):  # NaN fails too
         raise ValueError("every distance must be finite and >= 0")
+    T, K = len(rows), len(rows[0])
+    shape = [rec.get("T"), rec.get("K")]  # the writer always writes both
+    if not is_kind(shape, list[int]) or shape != [T, K] or len(rec["answer_order"]) != K:
+        raise ValueError(f"T, K and the answer_order length must match the {T} x {K} rows")
     return DistanceMatrix(rec["traj_id"], values, tuple(rec["answer_order"]), rec.get("correct"))

@@ -19,6 +19,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from itertools import groupby
+from operator import attrgetter
 from typing import Protocol
 from urllib.parse import urlsplit
 
@@ -65,6 +67,11 @@ class ScoreResponse:
 
 
 class LogProbSource(Protocol):
+    """Scores one request; ``score_batch`` also uses an optional
+    ``score_prefix(prefix, continuations) -> list[ScoreResponse]``, one
+    call for a prefix's continuations in their order. An error it raises
+    may carry ``request_index``, the failing continuation's position."""
+
     def score(self, request: ScoreRequest) -> ScoreResponse: ...
 
 
@@ -139,29 +146,51 @@ class ToyModel:
             table[tok_idx] += delta
         return table
 
-    def log_probs(self, context: tuple[str, ...]):
-        """Log-softmax of the context's logits, cached until its next boost."""
+    def log_probs(self, context: tuple[str, ...], store: dict | None = None):
+        """Log-softmax of the context's logits.
+
+        A table is kept in ``store`` when one is given, else in the model's
+        cache until the context's next boost; a cached table is used either way.
+        """
         table = self._log_probs.get(context)
         if table is None:
-            import numpy as np
+            store = self._log_probs if store is None else store
+            table = store.get(context)
+            if table is None:
+                import numpy as np
 
-            logits = self.logits(context)
-            shifted = logits - logits.max()
-            table = shifted - np.log(np.exp(shifted).sum())
-            self._log_probs[context] = table
+                logits = self.logits(context)
+                shifted = logits - logits.max()
+                table = store[context] = shifted - np.log(np.exp(shifted).sum())
         return table
 
+    def score_prefix(self, prefix: str, continuations: list[str]) -> list[ScoreResponse]:
+        """Score each continuation after one tokenized prefix.
+
+        The tables of contexts that reach into the prefix (those of each
+        continuation's first ``order - 1`` tokens) serve this call only;
+        contexts inside a continuation stay cached.
+        """
+        n = self.order - 1
+        head = list(self.context_of(self.tokenize(prefix)))
+        prefix_tables: dict = {}
+        responses = []
+        for i, continuation in enumerate(continuations):
+            cont = self.tokenize(continuation)
+            if not cont:
+                exc = MalformedResponse("continuation tokenizes to zero tokens")
+                exc.request_index = i
+                raise exc
+            tokens = head + cont
+            out = []
+            for j, tok in enumerate(cont):
+                table = self.log_probs(tuple(tokens[j : j + n]), prefix_tables if j < n else None)
+                out.append(min(float(table[self.token_index(tok)]), 0.0))
+            responses.append(ScoreResponse(tuple(out)))
+        return responses
+
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        cont = self.tokenize(request.continuation)
-        if not cont:
-            raise MalformedResponse("continuation tokenizes to zero tokens")
-        history = self.tokenize(request.prefix)
-        out = []
-        for tok in cont:
-            lp = float(self.log_probs(self.context_of(history))[self.token_index(tok)])
-            out.append(min(lp, 0.0))
-            history.append(tok)
-        return ScoreResponse(tuple(out))
+        return self.score_prefix(request.prefix, [request.continuation])[0]
 
     def to_config(self) -> dict:
         return {
@@ -267,6 +296,16 @@ def _content_key(request: ScoreRequest) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def check_http_settings(attempts: int, timeout: float, backoff: float) -> None:
+    """The rules on ``HttpScorer``'s settings, which ``ScorerConfig`` checks at load."""
+    if attempts < 1:
+        raise ValueError(f"scorer.attempts {attempts} must be >= 1")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"scorer.timeout {timeout} must be finite and > 0")
+    if not (math.isfinite(backoff) and backoff >= 0):
+        raise ValueError(f"scorer.backoff {backoff} must be finite and >= 0")
+
+
 class HttpScorer:
     """Client for a POST /v1/score service returning {"token_logprobs": [...]}.
 
@@ -285,12 +324,7 @@ class HttpScorer:
         backoff: float = 0.1,
         cache: FileCacheScorer | None = None,
     ):
-        if attempts < 1:
-            raise ValueError(f"scorer.attempts {attempts} must be >= 1")
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"scorer.timeout {timeout} must be finite and > 0")
-        if not (math.isfinite(backoff) and backoff >= 0):
-            raise ValueError(f"scorer.backoff {backoff} must be finite and >= 0")
+        check_http_settings(attempts, timeout, backoff)
         url = base_url or os.environ.get(SCORER_URL_ENV)
         if not url:
             raise ValueError(f"no scorer URL: pass base_url or set {SCORER_URL_ENV}")
@@ -392,26 +426,44 @@ def score_batch(
 ) -> dict[ScoreRequest, ScoreResponse]:
     """Score each distinct request once; the mapping keeps first-use order.
 
-    The first failing request in that order is raised, with its position
-    among the distinct requests as ``request_index``, at any parallelism:
-    requests not yet started when it fails are never sent.
+    A source with ``score_prefix`` gets each run of distinct requests
+    sharing a prefix in one call (``plan_requests`` puts a prefix's
+    requests together); any other source gets one request per ``score``
+    call. Each call is one unit of work for the threads. The first
+    failing request in first-use order is raised, with its position among
+    the distinct requests as ``request_index``, at any parallelism: calls
+    not yet started when it fails are never made.
     """
     unique = list(dict.fromkeys(requests))
     if not unique:
         raise ValueError("score_batch needs at least one request")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    by_prefix = hasattr(source, "score_prefix")
+    if by_prefix:
+        units = [list(run) for _, run in groupby(unique, key=attrgetter("prefix"))]
+
+        def score_unit(unit):
+            return source.score_prefix(unit[0].prefix, [r.continuation for r in unit])
+    else:
+        units = [[request] for request in unique]
+
+        def score_unit(unit):
+            return [source.score(unit[0])]
+
     with contextlib.ExitStack() as stack:
         if parallelism == 1:
-            responses = map(source.score, unique)
+            replies = map(score_unit, units)
         else:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=parallelism))
-            responses = pool.map(source.score, unique)
+            replies = pool.map(score_unit, units)
         scores: dict[ScoreRequest, ScoreResponse] = {}
         try:
-            for request, response in zip(unique, responses):
-                scores[request] = response
+            for unit, responses in zip(units, replies):
+                scores.update(zip(unit, responses))
         except Exception as exc:
-            exc.request_index = len(scores)
+            # a score_prefix error may carry its continuation's place in the unit
+            inside = getattr(exc, "request_index", 0) if by_prefix else 0
+            exc.request_index = len(scores) + inside
             raise
     return scores

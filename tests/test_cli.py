@@ -71,10 +71,12 @@ def scorer_calls(monkeypatch):
     """Every score call of every scorer, and every thread pool opened."""
     calls = []
     for cls in (ToyModel, FileCacheScorer, HttpScorer):
-        def counted(self, request, real=cls.score):
-            calls.append(request)
-            return real(self, request)
-        monkeypatch.setattr(cls, "score", counted)
+        for name in ("score", "score_prefix"):
+            if hasattr(cls, name):
+                def counted(self, *request, real=getattr(cls, name)):
+                    calls.append(request)
+                    return real(self, *request)
+                monkeypatch.setattr(cls, name, counted)
     monkeypatch.setattr(scoring, "ThreadPoolExecutor", lambda **kw: calls.append(kw))
     return calls
 
@@ -334,11 +336,15 @@ class TestExitCodes:
                 "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], tok: a, delta: 1}]}}\n",
                 "scorer.toy: unknown field 'tok'",
             ),
-            # HttpScorer settings are checked before any connection opens
-            ("reward", "scorer: {source: http, attempts: 0}\n", "scorer.attempts 0 "),
-            ("reward", "scorer: {source: http, backoff: -1}\n", "scorer.backoff -1 "),
-            ("reward", "scorer: {source: http, timeout: -1}\n", "scorer.timeout -1 "),
-            ("reward", "scorer: {source: http, timeout: .nan}\n", "scorer.timeout nan "),
+            # HttpScorer settings are checked as the config loads
+            ("reward", "scorer: {source: http, attempts: 0}\n", "bad config: scorer.attempts 0 "),
+            ("reward", "scorer: {source: http, backoff: -1}\n", "bad config: scorer.backoff -1 "),
+            ("reward", "scorer: {source: http, timeout: -1}\n", "bad config: scorer.timeout -1 "),
+            (
+                "reward",
+                "scorer: {source: http, timeout: .nan}\n",
+                "bad config: scorer.timeout nan ",
+            ),
             # finite, but the total reward overflows to inf
             (
                 "reward",
@@ -360,6 +366,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+        if message.startswith("bad config: "):  # rejected before the output directory is made
+            assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize(
@@ -451,7 +459,7 @@ class TestExitCodes:
     def test_malformed_jsonl_line_is_input_error(self, tmp_path, capsys, command, line, message):
         # one line that every reader accepts, so line 2 is the first bad one
         good = dict(
-            GOOD_TRAJECTORY, con=1.0, vol=0.0, r_cur=0.0, rows=[[0.5, 1.0]],
+            GOOD_TRAJECTORY, con=1.0, vol=0.0, r_cur=0.0, T=1, K=2, rows=[[0.5, 1.0]],
             answer_order=["7", "8"], key="k", token_logprobs=[-1.0],
         )
         good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
@@ -595,18 +603,22 @@ class TestArbitraryJsonlLines:
         assert [str(w.message) for w in caught] == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        lines=jsonl_lines(
-            {
-                "traj_id": st.text(max_size=2),
-                "rows": st.lists(st.lists(FLOATS, max_size=3), max_size=3),
-                "answer_order": st.lists(st.text(max_size=2), max_size=3),
-            }
-        )
-    )
-    def test_matrices_export(self, workdir, lines):
+    @given(data=st.data())
+    def test_matrices_export(self, workdir, data):
+        # one T x K shape per example, which typed lines mostly follow, so
+        # that some inputs pass the reader and reach the curve analysis
+        T, K = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        distances = st.floats(0.0, 1e9) | FLOATS
+        fields = {
+            "traj_id": st.text(max_size=2),
+            "T": st.just(T) | st.integers(0, 4),
+            "K": st.just(K) | st.integers(0, 4),
+            "rows": st.lists(st.lists(distances, min_size=K, max_size=K), min_size=T, max_size=T)
+            | st.lists(st.lists(FLOATS, max_size=3), max_size=3),
+            "answer_order": st.lists(st.text(max_size=2), min_size=K, max_size=K),
+        }
         path = workdir / "matrices.jsonl"
-        self.write(path, lines)
+        self.write(path, data.draw(jsonl_lines(fields)))
         self.run(["analyze", "--matrices", str(path), "--out", str(workdir / "o")])
 
     @settings(max_examples=60, deadline=None, derandomize=True)

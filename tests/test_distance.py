@@ -155,7 +155,9 @@ class TestDistanceMatrix:
 
     def test_integer_cells_read_back_as_floats(self, tmp_path):
         path = tmp_path / "matrices.jsonl"
-        path.write_text('{"traj_id": "t", "rows": [[1, 2]], "answer_order": ["7", "9"]}\n')
+        path.write_text(
+            '{"traj_id": "t", "T": 1, "K": 2, "rows": [[1, 2]], "answer_order": ["7", "9"]}\n'
+        )
         (loaded,) = read_matrices(path)
         assert loaded.values == [[1.0, 2.0]]
         assert all(type(v) is float for v in loaded.values[0])

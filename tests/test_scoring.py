@@ -36,8 +36,11 @@ class BoostScanReference:
         self.boosts[key] = self.boosts.get(key, 0.0) + delta
 
     def log_probs(self, context):
-        seed = _stable_digest(str(self.model.seed), *context)
-        table = np.log(np.random.default_rng(seed).dirichlet(np.ones(len(VOCAB))))
+        if self.model.init == "uniform":
+            table = np.zeros(len(VOCAB))
+        else:
+            seed = _stable_digest(str(self.model.seed), *context)
+            table = np.log(np.random.default_rng(seed).dirichlet(np.ones(len(VOCAB))))
         for (ctx, tok_idx), delta in self.boosts.items():
             if ctx == context:
                 table[tok_idx] += delta
@@ -142,6 +145,39 @@ class TestToyModel:
         assert clone.to_config() == config
         assert [clone.score(r) for r in requests] == [model.score(r) for r in requests]
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("init", ["dirichlet", "uniform"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_prefix_groups_match_boost_scan(self, order, init, workers):
+        model = ToyModel(VOCAB, order=order, seed=13, init=init)
+        reference = BoostScanReference(model)
+        for context, token, delta in [
+            (["a"], "b", 2.5),
+            (["c", "zzz"], "a", -1.25),
+            (["b", "a"], "d", 0.7),
+            (["d"], "c", 1.5),
+            (["a", "b"], "c", 1000.0),
+        ]:
+            model.boost(context, token, delta)
+            reference.boost(context, token, delta)
+        prefixes = ["", "a", "c zzz", "b a d", "d d c a b"]
+        continuations = ["b c a b", "a a d", "b zzz a", "c", "d a", "c d"]
+        requests = [ScoreRequest(p, c) for p in prefixes for c in continuations]
+        scores = score_batch(requests + requests[::7], model, parallelism=workers)
+        assert list(scores) == requests
+        for request, response in scores.items():
+            expected = reference.score(request).token_logprobs
+            assert [lp.hex() for lp in response.token_logprobs] == [lp.hex() for lp in expected]
+        # the tables of contexts that reach into a prefix were dropped after their call
+        n = order - 1
+        reaching, inside = set(), set()
+        for r in requests:
+            history, cont = r.prefix.split(), r.continuation.split()
+            reaching.update(model.context_of(history + cont[:j]) for j in range(min(n, len(cont))))
+            inside.update(model.context_of(cont[:j]) for j in range(n, len(cont)))
+        assert set(model._log_probs) <= inside
+        assert set(model._log_probs).isdisjoint(reaching - inside)
+
     def test_oov_tokens_score_deterministically(self):
         model = ToyModel(VOCAB, seed=0)
         r1 = model.score(ScoreRequest("unknown words", "more unknown"))
@@ -227,12 +263,20 @@ class TestScoreBatch:
         assert set(plan) == set(cells)
         with_steps = plan_requests(batch, steps=True)
         assert len(with_steps) == 18 + 12
-        assert with_steps[:18] == plan
-        assert set(with_steps) - set(plan) == {
+        step_reqs = {
             ScoreRequest(t.state_prefix(i), t.steps[i].text)
             for t in batch.trajectories
             for i in range(3)
         }
+        assert set(with_steps) - set(plan) == step_reqs
+        # grouped by prefix: each prefix's requests are contiguous, prefixes
+        # come in first-use order, and dropping the steps leaves the cell plan
+        for reqs in (plan, with_steps):
+            prefixes = [r.prefix for r in reqs]
+            runs = [p for i, p in enumerate(prefixes) if i == 0 or p != prefixes[i - 1]]
+            assert len(runs) == len(set(runs))
+            assert runs == list(dict.fromkeys(r.prefix for r in cells))
+        assert [r for r in with_steps if r not in step_reqs] == plan
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 7])
     def test_order_independence(self, workers):
@@ -275,6 +319,49 @@ class TestScoreBatch:
         assert err.value.request_index == 1
         assert str(err.value) == "down for t1"
         assert calls < 50
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("by_prefix", [False, True])
+    def test_failure_inside_a_prefix_group_reports_its_plan_position(self, workers, by_prefix):
+        reqs = [ScoreRequest(f"p{g}", f"t{i}") for g in range(40) for i in range(5)]
+        calls = 0
+        lock = threading.Lock()
+
+        class FailsOnRequestThirteen:
+            def score(self, request):
+                nonlocal calls
+                with lock:
+                    calls += 1
+                time.sleep(0.001)
+                if request == reqs[13]:  # the fourth continuation of the third prefix
+                    raise ServiceUnavailable("down")
+                return ScoreResponse((-1.0,))
+
+        class ScoresByPrefix(FailsOnRequestThirteen):
+            def score_prefix(self, prefix, continuations):
+                responses = []
+                try:
+                    for continuation in continuations:
+                        responses.append(self.score(ScoreRequest(prefix, continuation)))
+                except ServiceUnavailable as exc:
+                    exc.request_index = len(responses)
+                    raise
+                return responses
+
+        source = ScoresByPrefix() if by_prefix else FailsOnRequestThirteen()
+        with pytest.raises(ServiceUnavailable) as err:
+            score_batch(reqs, source, parallelism=workers)
+        assert err.value.request_index == 13
+        assert calls < 60
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_score_prefix_failure_reports_its_plan_position(self, workers):
+        # a continuation of blanks tokenizes to nothing, which the toy model rejects
+        reqs = [ScoreRequest(p, c) for p in ("a", "b", "c") for c in ("b", "d")]
+        reqs.insert(3, ScoreRequest("b", " "))  # the second continuation of the second prefix
+        with pytest.raises(MalformedResponse) as err:
+            score_batch(reqs, ToyModel(VOCAB, seed=1), parallelism=workers)
+        assert err.value.request_index == 3
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from .distance import (
 from .errors import ScorerError, TrajRewardError
 from .rewards import TrajectoryFeatures, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
-from .trajectory import load_prompt_batches, read_jsonl, write_json, write_jsonl
+from .trajectory import correct_label, load_prompt_batches, read_jsonl, write_json, write_jsonl
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -266,7 +266,7 @@ def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
     if not isfinite(rec["r_cur"]):  # the writer only writes finite curiosity
         raise ValueError(f"r_cur {rec['r_cur']!r} is not finite")
     features = TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
-    return features, rec.get("correct")
+    return features, correct_label(rec)
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:

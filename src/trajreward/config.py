@@ -16,7 +16,7 @@ from typing import get_type_hints
 import yaml
 
 from .rewards import VARIANTS, CuriosityConfig
-from .scoring import check_http_settings
+from .scoring import check_http_settings, check_toy_settings
 from .simulate import PRESETS
 from .trajectory import SegmentationRules, is_kind, kind_name, write_json
 
@@ -47,6 +47,7 @@ class ScorerConfig:
         if self.source not in ("toy", "file", "http"):
             raise ValueError(f"scorer.source {self.source!r} is not one of toy, file, http")
         check_http_settings(self.attempts, self.timeout, self.backoff)
+        check_toy_settings(self.toy)
 
 
 @dataclass

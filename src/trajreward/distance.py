@@ -17,7 +17,7 @@ from .errors import EmptyAnswer, SingleAnswerBatch
 from .rewards import CuriosityConfig, step_curiosity
 from .scoring import LogProbSource, ScoreRequest, ScoreResponse, score_batch
 from .trajectory import PromptBatch, Trajectory, canonicalize_answer, group_by_answer
-from .trajectory import is_kind, read_jsonl, write_jsonl
+from .trajectory import correct_label, is_kind, read_jsonl, write_jsonl
 
 
 @dataclass
@@ -203,4 +203,4 @@ def _matrix_record(rec: dict) -> DistanceMatrix:
     shape = [rec.get("T"), rec.get("K")]  # the writer always writes both
     if not is_kind(shape, list[int]) or shape != [T, K] or len(rec["answer_order"]) != K:
         raise ValueError(f"T, K and the answer_order length must match the {T} x {K} rows")
-    return DistanceMatrix(rec["traj_id"], values, tuple(rec["answer_order"]), rec.get("correct"))
+    return DistanceMatrix(rec["traj_id"], values, tuple(rec["answer_order"]), correct_label(rec))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import groupby
 from operator import attrgetter
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 from urllib.parse import urlsplit
 
 from .errors import CacheMiss, MalformedResponse, ServiceUnavailable
@@ -67,12 +67,17 @@ class ScoreResponse:
 
 
 class LogProbSource(Protocol):
-    """Scores one request; ``score_batch`` also uses an optional
-    ``score_prefix(prefix, continuations) -> list[ScoreResponse]``, one
-    call for a prefix's continuations in their order. An error it raises
-    may carry ``request_index``, the failing continuation's position."""
+    """Scores a prefix's continuations, yielding one response each, in their order."""
 
-    def score(self, request: ScoreRequest) -> ScoreResponse: ...
+    def score_prefix(self, prefix: str, continuations: list[str]) -> Iterable[ScoreResponse]: ...
+
+
+class PerRequestSource:
+    """A source whose ``score`` takes one request; ``score_prefix`` loops over it."""
+
+    def score_prefix(self, prefix: str, continuations: list[str]) -> Iterator[ScoreResponse]:
+        for continuation in continuations:
+            yield self.score(ScoreRequest(prefix, continuation))
 
 
 def _stable_digest(*parts: str) -> int:
@@ -90,13 +95,8 @@ class ToyModel:
     """
 
     def __init__(self, vocabulary, order: int = 2, seed: int = 0, init: str = "dirichlet"):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if init not in ("dirichlet", "uniform"):
-            raise ValueError(f"unknown init {init!r}")
         self.vocabulary = tuple(vocabulary)
-        if not self.vocabulary:
-            raise ValueError("vocabulary must be non-empty")
+        _check_model(self.vocabulary, order, init)
         self.order = order
         self.seed = seed
         self.init = init
@@ -164,7 +164,7 @@ class ToyModel:
                 table = store[context] = shifted - np.log(np.exp(shifted).sum())
         return table
 
-    def score_prefix(self, prefix: str, continuations: list[str]) -> list[ScoreResponse]:
+    def score_prefix(self, prefix: str, continuations: list[str]) -> Iterator[ScoreResponse]:
         """Score each continuation after one tokenized prefix.
 
         The tables of contexts that reach into the prefix (those of each
@@ -174,23 +174,19 @@ class ToyModel:
         n = self.order - 1
         head = list(self.context_of(self.tokenize(prefix)))
         prefix_tables: dict = {}
-        responses = []
-        for i, continuation in enumerate(continuations):
+        for continuation in continuations:
             cont = self.tokenize(continuation)
             if not cont:
-                exc = MalformedResponse("continuation tokenizes to zero tokens")
-                exc.request_index = i
-                raise exc
+                raise MalformedResponse("continuation tokenizes to zero tokens")
             tokens = head + cont
             out = []
             for j, tok in enumerate(cont):
                 table = self.log_probs(tuple(tokens[j : j + n]), prefix_tables if j < n else None)
                 out.append(min(float(table[self.token_index(tok)]), 0.0))
-            responses.append(ScoreResponse(tuple(out)))
-        return responses
+            yield ScoreResponse(tuple(out))
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        return self.score_prefix(request.prefix, [request.continuation])[0]
+        return next(self.score_prefix(request.prefix, [request.continuation]))
 
     def to_config(self) -> dict:
         return {
@@ -210,18 +206,37 @@ class ToyModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ToyModel":
-        """The model ``to_config`` describes; a missing, unknown or mistyped key is a ValueError."""
-        cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
-        try:
-            kinds = {"vocabulary": list[str], "order": int, "seed": int, "init": str}
-            _check_entry(cfg, {**kinds, "boosts": list[dict]})
-            model = cls(cfg["vocabulary"], order=cfg["order"], seed=cfg["seed"], init=cfg["init"])
-            for b in cfg["boosts"]:
-                _check_entry(b, {"context": list[str], "token": str, "delta": float})
-                model.boost(b["context"], b["token"], b["delta"])
-        except ValueError as exc:
-            raise ValueError(f"scorer.toy: {exc}") from exc
+        """The model ``to_config`` describes; see ``check_toy_settings`` for the rules."""
+        cfg = check_toy_settings(cfg)
+        model = cls(cfg["vocabulary"], order=cfg["order"], seed=cfg["seed"], init=cfg["init"])
+        for b in cfg["boosts"]:
+            model.boost(b["context"], b["token"], b["delta"])
         return model
+
+
+def _check_model(vocabulary: tuple, order: int, init: str) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if init not in ("dirichlet", "uniform"):
+        raise ValueError(f"unknown init {init!r}")
+    if not vocabulary:
+        raise ValueError("vocabulary must be non-empty")
+
+
+def check_toy_settings(cfg: dict) -> dict:
+    """The rules on ``scorer.toy``, which ``ScorerConfig`` checks at load: a
+    missing, unknown or mistyped key, in the mapping or in a boost, or a value
+    ``ToyModel`` rejects, is a ValueError. Returns ``cfg`` with its defaults."""
+    cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
+    try:
+        kinds = {"vocabulary": list[str], "order": int, "seed": int, "init": str}
+        _check_entry(cfg, {**kinds, "boosts": list[dict]})
+        _check_model(cfg["vocabulary"], cfg["order"], cfg["init"])
+        for b in cfg["boosts"]:
+            _check_entry(b, {"context": list[str], "token": str, "delta": float})
+    except ValueError as exc:
+        raise ValueError(f"scorer.toy: {exc}") from exc
+    return cfg
 
 
 def _check_entry(entry: dict, fields: dict) -> None:
@@ -232,7 +247,7 @@ def _check_entry(entry: dict, fields: dict) -> None:
     check_fields(entry, fields)
 
 
-class FileCacheScorer:
+class FileCacheScorer(PerRequestSource):
     """Scorer backed by a line-delimited JSON file of precomputed logprobs.
 
     The cache is content-addressed: each line is ``{"key", "token_logprobs"}``
@@ -306,7 +321,7 @@ def check_http_settings(attempts: int, timeout: float, backoff: float) -> None:
         raise ValueError(f"scorer.backoff {backoff} must be finite and >= 0")
 
 
-class HttpScorer:
+class HttpScorer(PerRequestSource):
     """Client for a POST /v1/score service returning {"token_logprobs": [...]}.
 
     Transient failures are retried with exponential backoff (3 attempts
@@ -426,30 +441,29 @@ def score_batch(
 ) -> dict[ScoreRequest, ScoreResponse]:
     """Score each distinct request once; the mapping keeps first-use order.
 
-    A source with ``score_prefix`` gets each run of distinct requests
-    sharing a prefix in one call (``plan_requests`` puts a prefix's
-    requests together); any other source gets one request per ``score``
-    call. Each call is one unit of work for the threads. The first
-    failing request in first-use order is raised, with its position among
-    the distinct requests as ``request_index``, at any parallelism: calls
-    not yet started when it fails are never made.
+    Each run of distinct requests sharing a prefix (``plan_requests`` puts
+    a prefix's requests together) is one ``score_prefix`` call and one unit
+    of work for the threads. The first failing request in first-use order
+    is raised, with its position among the distinct requests as
+    ``request_index``, at any parallelism: a group stops at its first
+    failure, and groups not yet started when it fails are never scored.
     """
     unique = list(dict.fromkeys(requests))
     if not unique:
         raise ValueError("score_batch needs at least one request")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
-    by_prefix = hasattr(source, "score_prefix")
-    if by_prefix:
-        units = [list(run) for _, run in groupby(unique, key=attrgetter("prefix"))]
+    units = [list(run) for _, run in groupby(unique, key=attrgetter("prefix"))]
 
-        def score_unit(unit):
-            return source.score_prefix(unit[0].prefix, [r.continuation for r in unit])
-    else:
-        units = [[request] for request in unique]
-
-        def score_unit(unit):
-            return [source.score(unit[0])]
+    def score_unit(unit):
+        responses = []
+        try:
+            for response in source.score_prefix(unit[0].prefix, [r.continuation for r in unit]):
+                responses.append(response)
+        except Exception as exc:
+            exc.request_index = len(responses)  # the failing continuation's place in the unit
+            raise
+        return responses
 
     with contextlib.ExitStack() as stack:
         if parallelism == 1:
@@ -462,8 +476,6 @@ def score_batch(
             for unit, responses in zip(units, replies):
                 scores.update(zip(unit, responses))
         except Exception as exc:
-            # a score_prefix error may carry its continuation's place in the unit
-            inside = getattr(exc, "request_index", 0) if by_prefix else 0
-            exc.request_index = len(scores) + inside
+            exc.request_index += len(scores)
             raise
     return scores

@@ -311,6 +311,15 @@ def check_fields(record: dict, fields: Mapping[str, Any]) -> None:
             )
 
 
+def correct_label(record: dict) -> bool | None:
+    """A record's optional ``correct`` label; only true, false and null
+    (or no field) are labels, anything else is a ValueError."""
+    label = record.get("correct")
+    if not is_kind(label, bool | None):
+        raise ValueError(f"field 'correct' must be true, false or null, not {type(label).__name__}")
+    return label
+
+
 def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict) -> Iterator:
     """Yield ``build(record)`` for each record of a line-delimited JSON file.
 
@@ -382,9 +391,9 @@ def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
     """Read and segment a JSONL trajectory file into per-prompt batches.
 
     Records need string or integer {prompt_id, traj_id}, string
-    {prompt_text, response_text} and may carry an optional boolean
-    ``correct`` label. A bad record, or a response that cannot be
-    segmented, is an InputError naming the file and line.
+    {prompt_text, response_text} and may carry an optional ``correct``
+    label (see ``correct_label``). A bad record, or a response that
+    cannot be segmented, is an InputError naming the file and line.
     """
     ids = str | int
     fields = {"prompt_id": ids, "traj_id": ids, "prompt_text": str, "response_text": str}
@@ -396,7 +405,7 @@ def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
             prompt_id=str(rec["prompt_id"]),
             traj_id=str(rec["traj_id"]),
             prompt_text=rec["prompt_text"],
-            correct=rec.get("correct"),
+            correct=correct_label(rec),
         )
 
     batches: dict[str, PromptBatch] = {}

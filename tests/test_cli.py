@@ -72,11 +72,10 @@ def scorer_calls(monkeypatch):
     calls = []
     for cls in (ToyModel, FileCacheScorer, HttpScorer):
         for name in ("score", "score_prefix"):
-            if hasattr(cls, name):
-                def counted(self, *request, real=getattr(cls, name)):
-                    calls.append(request)
-                    return real(self, *request)
-                monkeypatch.setattr(cls, name, counted)
+            def counted(self, *request, real=getattr(cls, name)):
+                calls.append(request)
+                return real(self, *request)
+            monkeypatch.setattr(cls, name, counted)
     monkeypatch.setattr(scoring, "ThreadPoolExecutor", lambda **kw: calls.append(kw))
     return calls
 
@@ -319,22 +318,31 @@ class TestExitCodes:
                 "simulate: {truth_index: 5}\n",
                 "simulate.truth_index 5 is not one of the 2",
             ),
-            ("reward", "scorer: {toy: {}}\n", "scorer.toy: missing fields ['vocabulary']"),
+            (
+                "reward",
+                "scorer: {toy: {}}\n",
+                "bad config: scorer.toy: missing fields ['vocabulary']",
+            ),
+            (
+                "reward",
+                "scorer: {toy: {vocabulary: [a], order: 0}}\n",
+                "bad config: scorer.toy: order must be >= 1",
+            ),
             (
                 "reward",
                 "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], delta: 1}]}}\n",
-                "scorer.toy: missing fields ['token']",
+                "bad config: scorer.toy: missing fields ['token']",
             ),
             ("reward", "scorer: {source: tyo}\n", "bad config: scorer.source 'tyo' "),
             (
                 "reward",
                 "scorer: {toy: {vocabulary: [a], boost: [{context: [a], token: a, delta: 1}]}}\n",
-                "scorer.toy: unknown field 'boost'",
+                "bad config: scorer.toy: unknown field 'boost'",
             ),
             (
                 "reward",
                 "scorer: {toy: {vocabulary: [a], boosts: [{context: [a], tok: a, delta: 1}]}}\n",
-                "scorer.toy: unknown field 'tok'",
+                "bad config: scorer.toy: unknown field 'tok'",
             ),
             # HttpScorer settings are checked as the config loads
             ("reward", "scorer: {source: http, attempts: 0}\n", "bad config: scorer.attempts 0 "),
@@ -443,6 +451,40 @@ class TestExitCodes:
                 "analyze-matrices",
                 '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[-0.5, 1.0]]}',
                 "every distance must be finite and >= 0",
+            ),
+            (
+                "segment",
+                '{"prompt_id": "p", "traj_id": "t1", "prompt_text": "q\\n\\n", '
+                '"response_text": "a\\n\\nAnswer: 7", "correct": "no"}',
+                "field 'correct' must be true, false or null, not str",
+            ),
+            (
+                "reward",
+                '{"prompt_id": "p", "traj_id": "t1", "prompt_text": "q\\n\\n", '
+                '"response_text": "a\\n\\nAnswer: 7", "correct": 0}',
+                "field 'correct' must be true, false or null, not int",
+            ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": 0.0, "correct": "no"}',
+                "field 'correct' must be true, false or null, not str",
+            ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": 0.0, "correct": 0}',
+                "field 'correct' must be true, false or null, not int",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0]], "T": 1, '
+                '"K": 2, "correct": "no"}',
+                "field 'correct' must be true, false or null, not str",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0]], "T": 1, '
+                '"K": 2, "correct": [true]}',
+                "field 'correct' must be true, false or null, not list",
             ),
             (
                 "cache",

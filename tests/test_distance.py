@@ -16,14 +16,14 @@ from trajreward.distance import (
 from trajreward.errors import EmptyAnswer, SingleAnswerBatch
 from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import consistency
-from trajreward.scoring import ScoreRequest, ScoreResponse, ToyModel
+from trajreward.scoring import PerRequestSource, ScoreRequest, ScoreResponse, ToyModel
 from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
 VOCAB = ["a", "b", "c", "d", "7", "9"]
 RULES = SegmentationRules(delimiter=r"\n\n", min_step_chars=1, answer_pattern=r"Answer: (.*)")
 
 
-class FixedScorer:
+class FixedScorer(PerRequestSource):
     """Returns scripted logprobs keyed by continuation text."""
 
     def __init__(self, table):

@@ -19,7 +19,7 @@ from trajreward.rewards import (
     vector_group_reward,
     volatility,
 )
-from trajreward.scoring import ScoreResponse
+from trajreward.scoring import PerRequestSource, ScoreResponse
 from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
 RULES = SegmentationRules(delimiter=r"\n\n", min_step_chars=1, answer_pattern=r"Answer: (.*)")
@@ -191,7 +191,7 @@ class TestStepCuriosity:
         assert shifted == pytest.approx(step_curiosity([0.0, -1.0]) - 0.5, abs=1e-12)
 
 
-class StepScorer:
+class StepScorer(PerRequestSource):
     """Scripted logprobs keyed by continuation text; answers get -1 per token."""
 
     def __init__(self, by_text):

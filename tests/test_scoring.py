@@ -13,6 +13,7 @@ from trajreward.scoring import (
     BOS,
     FileCacheScorer,
     HttpScorer,
+    PerRequestSource,
     ScoreRequest,
     ScoreResponse,
     ToyModel,
@@ -204,7 +205,7 @@ class TestScoreResponse:
             ScoreRequest("p", "")
 
 
-class CountingSource:
+class CountingSource(PerRequestSource):
     """A toy model that counts the calls it gets, per request."""
 
     def __init__(self, model):
@@ -304,7 +305,7 @@ class TestScoreBatch:
         calls = 0
         lock = threading.Lock()
 
-        class FailsOnRequestOne:
+        class FailsOnRequestOne(PerRequestSource):
             def score(self, request):
                 nonlocal calls
                 with lock:
@@ -321,13 +322,12 @@ class TestScoreBatch:
         assert calls < 50
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("by_prefix", [False, True])
-    def test_failure_inside_a_prefix_group_reports_its_plan_position(self, workers, by_prefix):
+    def test_failure_inside_a_prefix_group_reports_its_plan_position(self, workers):
         reqs = [ScoreRequest(f"p{g}", f"t{i}") for g in range(40) for i in range(5)]
         calls = 0
         lock = threading.Lock()
 
-        class FailsOnRequestThirteen:
+        class FailsOnRequestThirteen(PerRequestSource):
             def score(self, request):
                 nonlocal calls
                 with lock:
@@ -337,20 +337,8 @@ class TestScoreBatch:
                     raise ServiceUnavailable("down")
                 return ScoreResponse((-1.0,))
 
-        class ScoresByPrefix(FailsOnRequestThirteen):
-            def score_prefix(self, prefix, continuations):
-                responses = []
-                try:
-                    for continuation in continuations:
-                        responses.append(self.score(ScoreRequest(prefix, continuation)))
-                except ServiceUnavailable as exc:
-                    exc.request_index = len(responses)
-                    raise
-                return responses
-
-        source = ScoresByPrefix() if by_prefix else FailsOnRequestThirteen()
         with pytest.raises(ServiceUnavailable) as err:
-            score_batch(reqs, source, parallelism=workers)
+            score_batch(reqs, FailsOnRequestThirteen(), parallelism=workers)
         assert err.value.request_index == 13
         assert calls < 60
 
@@ -543,6 +531,15 @@ class TestHttpScorer:
         url, _ = http_server([(200, [1])])
         with pytest.raises(MalformedResponse):
             HttpScorer(base_url=url, backoff=0.0).score(ScoreRequest("p", "c"))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_prefix_group_stops_at_its_first_failure(self, http_server, workers):
+        url, handler = http_server([(200, {"token_logprobs": [-1.0]}), (400, None)])
+        reqs = [ScoreRequest("p", f"c{i}") for i in range(3)]
+        with pytest.raises(MalformedResponse) as err:
+            score_batch(reqs, HttpScorer(base_url=url, backoff=0.0), parallelism=workers)
+        assert err.value.request_index == 1
+        assert handler.calls == 2  # the third continuation is never sent
 
     def test_keep_alive_connection_reused_and_reopened(self, http_server):
         # HTTP/1.1 replies keep the connection open; the server then drops

@@ -16,9 +16,7 @@ import os
 import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, Protocol
@@ -49,17 +47,18 @@ class ScoreRequest:
 
 @dataclass(frozen=True)
 class ScoreResponse:
-    """One finite log-probability (<= 0) per continuation token."""
+    """One finite log-probability (<= 0) per continuation token, from a scorer or a cache line."""
 
     token_logprobs: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.token_logprobs:
-            raise MalformedResponse("scorer returned zero token logprobs")
-        if not all(math.isfinite(lp) for lp in self.token_logprobs):
-            raise MalformedResponse("scorer returned a non-finite log-probability")
-        if any(lp > 0.0 for lp in self.token_logprobs):
-            raise MalformedResponse("scorer returned a positive log-probability")
+        values = self.token_logprobs
+        if not values:
+            raise MalformedResponse("token_logprobs is empty")
+        if not all(math.isfinite(lp) for lp in values):
+            raise MalformedResponse(f"token_logprobs {list(values)} holds a non-finite value")
+        if any(lp > 0.0 for lp in values):
+            raise MalformedResponse(f"token_logprobs {list(values)} holds a positive value")
 
     @property
     def token_count(self) -> int:
@@ -262,8 +261,7 @@ class FileCacheScorer(PerRequestSource):
     @classmethod
     def load(cls, path) -> "FileCacheScorer":
         """Read a cache file; a line that is not a cache entry is an InputError."""
-        fields = {"key": str, "token_logprobs": list[float]}
-        return cls(dict(read_jsonl(path, fields, _cache_entry)))
+        return cls(dict(read_jsonl(path, {}, _cache_entry)))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:
@@ -299,10 +297,14 @@ class FileCacheScorer(PerRequestSource):
 
 
 def _cache_entry(rec: dict) -> tuple[str, tuple[float, ...]]:
-    logprobs = tuple(float(x) for x in rec["token_logprobs"])
-    if not all(math.isfinite(lp) for lp in logprobs):
-        raise ValueError(f"token_logprobs {list(logprobs)} holds a non-finite value")
-    return rec["key"], logprobs
+    """A cache line's key and scores. A missing, unknown or mistyped field, or
+    scores that ``ScoreResponse`` rejects, are a ValueError."""
+    _check_entry(rec, {"key": str, "token_logprobs": list[float]})
+    try:
+        response = ScoreResponse(tuple(float(x) for x in rec["token_logprobs"]))
+    except MalformedResponse as exc:
+        raise ValueError(str(exc)) from exc
+    return rec["key"], response.token_logprobs
 
 
 def _content_key(request: ScoreRequest) -> str:
@@ -339,6 +341,9 @@ class HttpScorer(PerRequestSource):
         backoff: float = 0.1,
         cache: FileCacheScorer | None = None,
     ):
+        # loaded here, so a process that builds no HttpScorer never loads http.client and ssl
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
         check_http_settings(attempts, timeout, backoff)
         url = base_url or os.environ.get(SCORER_URL_ENV)
         if not url:
@@ -352,9 +357,10 @@ class HttpScorer(PerRequestSource):
         self.backoff = backoff
         self.cache = cache if cache is not None else FileCacheScorer()
         self._connection_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        self._retryable = (OSError, HTTPException)
         self._netloc = parts.netloc
         self._path = parts.path.rstrip("/") + "/v1/score"
-        self._idle: list[HTTPConnection] = []
+        self._idle: list = []  # idle keep-alive connections
         self._idle_lock = threading.Lock()
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
@@ -370,7 +376,7 @@ class HttpScorer(PerRequestSource):
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body)
-            except (OSError, HTTPException) as exc:
+            except self._retryable as exc:
                 last_error = exc
                 continue
             if status >= 500:
@@ -469,6 +475,9 @@ def score_batch(
         if parallelism == 1:
             replies = map(score_unit, units)
         else:
+            # loaded here, so a one-worker run never loads concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=parallelism))
             replies = pool.map(score_unit, units)
         scores: dict[ScoreRequest, ScoreResponse] = {}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -14,7 +15,6 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from trajreward import scoring
 from trajreward.cli import main
 from trajreward.distance import plan_requests
 from trajreward.errors import CacheMiss
@@ -76,7 +76,8 @@ def scorer_calls(monkeypatch):
                 calls.append(request)
                 return real(self, *request)
             monkeypatch.setattr(cls, name, counted)
-    monkeypatch.setattr(scoring, "ThreadPoolExecutor", lambda **kw: calls.append(kw))
+    # score_batch imports the pool class when it opens one, so this records every pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kw: calls.append(kw))
     return calls
 
 
@@ -496,17 +497,31 @@ class TestExitCodes:
                 '{"key": "k", "token_logprobs": [-1.0, NaN]}',
                 "token_logprobs [-1.0, nan] holds a non-finite value",
             ),
+            (
+                "cache",
+                '{"key": "k", "token_logprobs": [-1.0, 0.5]}',
+                "token_logprobs [-1.0, 0.5] holds a positive value",
+            ),
+            ("cache", '{"key": "k", "token_logprobs": []}', "token_logprobs is empty"),
+            (
+                "http-cache",
+                '{"key": "k", "token_logprobs": [0.5]}',
+                "token_logprobs [0.5] holds a positive value",
+            ),
+            ("http-cache", '{"key": "k", "token_logprobs": []}', "token_logprobs is empty"),
         ],
     )
     def test_malformed_jsonl_line_is_input_error(self, tmp_path, capsys, command, line, message):
-        # one line that every reader accepts, so line 2 is the first bad one
+        # one line that every reader accepts, so line 2 is the first bad one; a
+        # cache line holds its two fields only
         good = dict(
             GOOD_TRAJECTORY, con=1.0, vol=0.0, r_cur=0.0, T=1, K=2, rows=[[0.5, 1.0]],
-            answer_order=["7", "8"], key="k", token_logprobs=[-1.0],
+            answer_order=["7", "8"],
         )
+        first = {"key": "k", "token_logprobs": [-1.0]} if "cache" in command else good
         good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         good_path.write_text(json.dumps(good) + "\n")
-        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        path.write_text(json.dumps(first) + "\n" + line + "\n")
         out = str(tmp_path / "o")
         if command == "analyze-input":
             argv = ["analyze", "--input", str(path), "--rewards", str(good_path), "--out", out]
@@ -514,9 +529,12 @@ class TestExitCodes:
             argv = ["analyze", "--rewards", str(path), "--out", out]
         elif command == "analyze-matrices":
             argv = ["analyze", "--matrices", str(path), "--out", out]
-        elif command == "cache":
+        elif command in ("cache", "http-cache"):
             cfg_path = tmp_path / "file.yaml"
             cfg = {"scorer": {"source": "file", "cache_path": str(path)}}
+            if command == "http-cache":
+                # the cache is read before any request, so the service is never contacted
+                cfg["scorer"].update(source="http", base_url="http://127.0.0.1:9")
             cfg_path.write_text(yaml.safe_dump(cfg))
             argv = ["reward", "--config", str(cfg_path), "--input", str(good_path), "--out", out]
         else:
@@ -530,9 +548,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad_line", [1, 3])
     @pytest.mark.parametrize("reader", ["trajectory", "cache"])
     def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, capsys, reader, bad_line):
-        good = dict(GOOD_TRAJECTORY, key="k", token_logprobs=[-1.0])
         good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
-        good_path.write_text(json.dumps(good) + "\n")
+        good_path.write_text(json.dumps(GOOD_TRAJECTORY) + "\n")
+        good = {"key": "k", "token_logprobs": [-1.0]} if reader == "cache" else GOOD_TRAJECTORY
         lines = [json.dumps(good).encode()] * 3
         lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
         path.write_bytes(b"\n".join(lines) + b"\n")
@@ -674,6 +692,95 @@ class TestArbitraryJsonlLines:
         self.write(workdir / "cache.jsonl", data.draw(jsonl_lines(fields)))
         cfg, good = str(workdir / "file.yaml"), str(workdir / "good.jsonl")
         self.run(["reward", "--config", cfg, "--input", good, "--out", str(workdir / "o")])
+
+
+NOT_NUMBERS = JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+
+
+class TestScoreCacheLines:
+    """One field of one line of a ``score``-written cache, changed to a value
+    outside its rules, is exit 2 naming that line; the same line written
+    again with its keys in another order gives the same rewards."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, fixtures_dir):
+        base = tmp_path_factory.mktemp("cache_lines")
+        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
+        argv = ["score", "--config", str(config), "--input", str(batch), "--out", str(base / "s")]
+        assert main(argv) == 0
+        cfg = {"input": str(batch), "scorer": {"source": "file", "cache_path": str(base / "cache.jsonl")}}
+        (base / "file.yaml").write_text(yaml.safe_dump(cfg))
+        (base / "cache.jsonl").write_text((base / "s" / "cache.jsonl").read_text())
+        assert self.run(base) == (0, "")
+        return base, read_lines(base / "s" / "cache.jsonl"), (base / "o" / "rewards.jsonl").read_bytes()
+
+    @staticmethod
+    def run(base):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["reward", "--config", str(base / "file.yaml"), "--out", str(base / "o")])
+        return code, err.getvalue()
+
+    @staticmethod
+    def write(base, records, index, line):
+        lines = [json.dumps(rec) for rec in records]
+        lines[index] = line
+        (base / "cache.jsonl").write_text("".join(line + "\n" for line in lines))
+
+    @staticmethod
+    def broken(data, rec):
+        """``rec`` with one field outside its rules."""
+        rec = dict(rec)
+        kind = data.draw(
+            st.sampled_from(
+                ["missing", "extra", "key type", "list type", "item type", "non-finite",
+                 "positive", "empty"]
+            )
+        )
+        if kind == "missing":
+            del rec[data.draw(st.sampled_from(sorted(rec)))]
+        elif kind == "extra":
+            rec[data.draw(st.text(max_size=6).filter(lambda k: k not in rec))] = data.draw(JSON_VALUES)
+        elif kind == "key type":
+            rec["key"] = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+        elif kind == "list type":
+            rec["token_logprobs"] = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, list)))
+        elif kind == "empty":
+            rec["token_logprobs"] = []
+        else:
+            values = {
+                "item type": NOT_NUMBERS,
+                "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+                "positive": st.floats(0.0, exclude_min=True, allow_infinity=False)
+                | st.integers(1, 10**6),
+            }
+            logprobs = list(rec["token_logprobs"])
+            logprobs[data.draw(st.integers(0, len(logprobs) - 1))] = data.draw(values[kind])
+            rec["token_logprobs"] = logprobs
+        return kind, rec
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_line_outside_the_rules_is_input_error_naming_it(self, workdir, data):
+        base, records, _ = workdir
+        index = data.draw(st.integers(0, len(records) - 1))
+        kind, rec = self.broken(data, records[index])
+        self.write(base, records, index, json.dumps(rec))
+        code, err = self.run(base)
+        assert code == 2, kind
+        assert err.startswith(f"error: {base / 'cache.jsonl'}:{index + 1}: ")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_line_written_in_another_key_order_gives_the_same_rewards(self, workdir, data):
+        base, records, rewards = workdir
+        index = data.draw(st.integers(0, len(records) - 1))
+        separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " : ")]))
+        reordered = dict(reversed(list(records[index].items())))
+        self.write(base, records, index, json.dumps(reordered, separators=separators))
+        assert self.run(base) == (0, "")
+        assert (base / "o" / "rewards.jsonl").read_bytes() == rewards
 
 
 class _CountingScoreHandler(BaseHTTPRequestHandler):
@@ -1211,3 +1318,48 @@ class TestShippedFixture:
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
         assert json.loads((convergence / "assertions.json").read_text())["within_bound"] is True
         assert (convergence / "series.jsonl").exists() and (convergence / "sweep.txt").exists()
+
+    def test_only_an_http_scorer_loads_http_client(self, fixtures_dir, tmp_path):
+        config = fixtures_dir / "planted_config.yaml"
+        batch = fixtures_dir / "planted_batch.jsonl"
+        scored = tmp_path / "scored"
+        argv = ["score", "--config", str(config), "--input", str(batch), "--out", str(scored)]
+        assert main(argv) == 0
+        file_cfg = tmp_path / "file.yaml"
+        cache = str(scored / "cache.jsonl")
+        file_cfg.write_text(yaml.safe_dump({"input": str(batch), "scorer": {"cache_path": cache}}))
+        run = tmp_path / "run"
+        file_reward = ["reward", "--config", str(file_cfg), "--scorer", "file", "--out"]
+        commands = [
+            ["segment", "--input", str(batch), "--out", str(tmp_path / "segments")],
+            [*file_reward, str(run), "--workers", "1"],
+            [
+                "analyze", "--rewards", str(run / "rewards.jsonl"), "--matrices",
+                str(run / "matrices.jsonl"), "--input", str(batch), "--out", str(tmp_path / "a"),
+            ],
+            ["reward", "--config", str(config), "--input", str(batch), "--workers", "1",
+             "--out", str(tmp_path / "toy")],
+            ["simulate", "--preset", "convergence", "--out", str(tmp_path / "convergence")],
+            # a thread pool does need concurrent.futures, so that part is not vacuous
+            [*file_reward, str(tmp_path / "two-workers"), "--workers", "2"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from trajreward import cli\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('http.client', 'ssl', 'concurrent.futures')]\n"
+            "seen = [loaded()]\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen.append(loaded())\n"
+            "# building an HttpScorer does need http.client, so that part is not vacuous\n"
+            "from trajreward.scoring import HttpScorer\n"
+            "HttpScorer(base_url='http://127.0.0.1:9')\n"
+            "seen.append(loaded())\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # import and five one-worker commands, then two workers, then an HttpScorer
+        expected = [[False, False, False]] * 6 + [[False, False, True], [True, True, True]]
+        assert json.loads(proc.stdout.splitlines()[-1]) == expected

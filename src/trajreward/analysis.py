@@ -126,13 +126,17 @@ def diversity_metrics(responses: Sequence[Sequence[str]], ngram_max: int = 4) ->
 
 
 def _self_bleu_scores(token_seqs: list[list[str]], max_n: int) -> list[float]:
-    """``bleu(seq, every other seq, max_n)`` for each seq, bit-for-bit.
+    """Each seq's BLEU against all the other seqs as references.
 
-    Each response's n-grams are counted once. Per gram the pool keeps its
-    top count, the response owning it and the second-highest count, so
-    the clip against all *other* responses is the top count, or the
-    second one when the hypothesis owns the top. The cost is linear in
-    the total number of n-grams instead of quadratic in responses.
+    BLEU is the geometric mean of the modified n-gram precisions of orders
+    1..min(max_n, len(seq)), counts clipped to the top reference count,
+    times the brevity penalty against the closest reference length (the
+    shorter on a tie); an empty seq scores 0. Each response's n-grams are
+    counted once. Per gram the pool keeps its top count, the response
+    owning it and the second-highest count, so the clip against all
+    *other* responses is the top count, or the second one when the
+    hypothesis owns the top. The cost is linear in the total number of
+    n-grams instead of quadratic in responses.
     """
     counts = [
         [Counter(zip(*(seq[k:] for k in range(n)))) for n in range(1, min(max_n, len(seq)) + 1)]
@@ -176,7 +180,8 @@ def _self_bleu_scores(token_seqs: list[list[str]], max_n: int) -> list[float]:
 
 
 def _closest_other_length(length: int, length_counts: Counter, distinct: list[int]) -> int:
-    """``bleu``'s closest reference length once ``length`` itself is removed."""
+    """The reference length closest to ``length`` (the shorter on a tie)
+    among all lengths but one occurrence of ``length`` itself."""
     if length_counts[length] > 1:
         return length
     at = bisect.bisect_left(distinct, length)
@@ -192,38 +197,3 @@ def token_entropy(tokens: Sequence[str]) -> float:
     total = len(tokens)
     # fsum is correctly rounded, so the result does not depend on token order
     return -math.fsum((c / total) * math.log(c / total) for c in counts.values())
-
-
-def bleu(hypothesis: Sequence[str], references: Sequence[Sequence[str]], max_n: int = 4) -> float:
-    """BLEU of one token sequence against reference sequences.
-
-    Modified n-gram precision with reference-clipped counts, uniform
-    weights over orders 1..max_n (capped at the hypothesis length so
-    short identical sequences still score 1), and the standard brevity
-    penalty against the closest reference length.
-    """
-    hyp = list(hypothesis)
-    if not hyp or not references:
-        return 0.0
-    orders = min(max_n, len(hyp))
-    log_precisions = []
-    for n in range(1, orders + 1):
-        hyp_counts = Counter(_ngrams(hyp, n))
-        max_ref = Counter()
-        for ref in references:
-            for gram, count in Counter(_ngrams(ref, n)).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in hyp_counts.items())
-        total = sum(hyp_counts.values())
-        if clipped == 0:
-            return 0.0
-        log_precisions.append(math.log(clipped / total))
-    geo_mean = math.exp(sum(log_precisions) / orders)
-    ref_len = min((len(r) for r in references), key=lambda L: (abs(L - len(hyp)), L))
-    brevity = 1.0 if len(hyp) >= ref_len else math.exp(1.0 - ref_len / len(hyp))
-    return brevity * geo_mean
-
-
-def _ngrams(tokens: Sequence[str], n: int):
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]

@@ -28,7 +28,7 @@ from .distance import (
     write_matrices,
 )
 from .errors import ScorerError, TrajRewardError
-from .rewards import TrajectoryFeatures, assemble_rewards
+from .rewards import TrajectoryFeatures, TrajectoryReward, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
 from .trajectory import correct_label, load_prompt_batches, read_jsonl, write_json, write_jsonl
 
@@ -258,6 +258,10 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+# every key of a rewards.jsonl line, as cmd_reward writes it
+REWARD_KEYS = {f.name for f in dataclasses.fields(TrajectoryReward)} | {"prompt_id", "correct"}
+
+
 def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
     """A rewards-export record as (features, correct label)."""
     for name in ("con", "vol"):
@@ -278,7 +282,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     if rewards_path:
         fields = {"traj_id": str, "con": float, "vol": float, "r_cur": float}
-        records = list(read_jsonl(rewards_path, fields, _labelled_features))
+        records = list(read_jsonl(rewards_path, fields, _labelled_features, optional=REWARD_KEYS))
         if not records:
             raise ValueError(f"no reward records in {rewards_path}")
         features, labels = zip(*records)

@@ -103,10 +103,6 @@ class ToyModel:
         self._boosts: dict[tuple[str, ...], dict[int, float]] = {}
         self._log_probs: dict = {}  # context -> numpy log-softmax table
 
-    @classmethod
-    def uniform(cls, vocabulary, order: int = 2, seed: int = 0) -> "ToyModel":
-        return cls(vocabulary, order=order, seed=seed, init="uniform")
-
     @staticmethod
     def tokenize(text: str) -> list[str]:
         return text.split()
@@ -187,25 +183,9 @@ class ToyModel:
     def score(self, request: ScoreRequest) -> ScoreResponse:
         return next(self.score_prefix(request.prefix, [request.continuation]))
 
-    def to_config(self) -> dict:
-        return {
-            "vocabulary": list(self.vocabulary),
-            "order": self.order,
-            "seed": self.seed,
-            "init": self.init,
-            "boosts": [
-                {"context": list(ctx), "token": self.vocabulary[tok_idx], "delta": delta}
-                for (ctx, tok_idx), delta in sorted(
-                    ((ctx, tok_idx), delta)
-                    for ctx, deltas in self._boosts.items()
-                    for tok_idx, delta in deltas.items()
-                )
-            ],
-        }
-
     @classmethod
     def from_config(cls, cfg: dict) -> "ToyModel":
-        """The model ``to_config`` describes; see ``check_toy_settings`` for the rules."""
+        """The model a ``scorer.toy`` mapping describes (see ``check_toy_settings``)."""
         cfg = check_toy_settings(cfg)
         model = cls(cfg["vocabulary"], order=cfg["order"], seed=cfg["seed"], init=cfg["init"])
         for b in cfg["boosts"]:
@@ -229,21 +209,13 @@ def check_toy_settings(cfg: dict) -> dict:
     cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
     try:
         kinds = {"vocabulary": list[str], "order": int, "seed": int, "init": str}
-        _check_entry(cfg, {**kinds, "boosts": list[dict]})
+        check_fields(cfg, {**kinds, "boosts": list[dict]}, optional=())
         _check_model(cfg["vocabulary"], cfg["order"], cfg["init"])
         for b in cfg["boosts"]:
-            _check_entry(b, {"context": list[str], "token": str, "delta": float})
+            check_fields(b, {"context": list[str], "token": str, "delta": float}, optional=())
     except ValueError as exc:
         raise ValueError(f"scorer.toy: {exc}") from exc
     return cfg
-
-
-def _check_entry(entry: dict, fields: dict) -> None:
-    """``check_fields``, and a ValueError for a key outside ``fields``."""
-    unknown = [key for key in entry if key not in fields]
-    if unknown:
-        raise ValueError(f"unknown field {unknown[0]!r}")
-    check_fields(entry, fields)
 
 
 class FileCacheScorer(PerRequestSource):
@@ -261,7 +233,8 @@ class FileCacheScorer(PerRequestSource):
     @classmethod
     def load(cls, path) -> "FileCacheScorer":
         """Read a cache file; a line that is not a cache entry is an InputError."""
-        return cls(dict(read_jsonl(path, {}, _cache_entry)))
+        fields = {"key": str, "token_logprobs": list[float]}
+        return cls(dict(read_jsonl(path, fields, _cache_entry, optional=())))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:
@@ -297,9 +270,7 @@ class FileCacheScorer(PerRequestSource):
 
 
 def _cache_entry(rec: dict) -> tuple[str, tuple[float, ...]]:
-    """A cache line's key and scores. A missing, unknown or mistyped field, or
-    scores that ``ScoreResponse`` rejects, are a ValueError."""
-    _check_entry(rec, {"key": str, "token_logprobs": list[float]})
+    """A cache line's key and scores; scores that ``ScoreResponse`` rejects are a ValueError."""
     try:
         response = ScoreResponse(tuple(float(x) for x in rec["token_logprobs"]))
     except MalformedResponse as exc:
@@ -326,11 +297,11 @@ def check_http_settings(attempts: int, timeout: float, backoff: float) -> None:
 class HttpScorer(PerRequestSource):
     """Client for a POST /v1/score service returning {"token_logprobs": [...]}.
 
-    Transient failures are retried with exponential backoff (3 attempts
-    total). Every reply is recorded into ``cache`` so a rerun against the
-    same cache never re-contacts the service. Idle keep-alive connections
-    wait in a shared pool, so it never holds more connections than there
-    were concurrent callers.
+    Transient failures are retried with exponential backoff, ``attempts``
+    tries in all (``scorer.attempts``, default 3). Every reply is recorded
+    into ``cache`` so a rerun against the same cache never re-contacts the
+    service. Idle keep-alive connections wait in a shared pool, so it never
+    holds more connections than there were concurrent callers.
     """
 
     def __init__(

@@ -1,11 +1,11 @@
 """Tabular softmax policy under gradient flow.
 
 Exact-expectation machinery for a policy with one free logit per output:
-the policy-gradient field, its closed-form probability velocity, Euler
-and RK4 integration of the flow, majority-vote collapse runs, hitting
-times against the proxy-reward convergence bound, an enumeration check
-of the latent-state evidence lower bound, and the ``simulate`` presets
-that run these checks and write their results.
+the policy-gradient and KL tangents, Euler and RK4 integration of the
+flow, majority-vote collapse runs, hitting times against the
+proxy-reward convergence bound, an enumeration check of the latent-state
+evidence lower bound, and the ``simulate`` presets that run these checks
+and write their results.
 """
 
 from __future__ import annotations
@@ -75,29 +75,6 @@ def _tangent(p: list[float], f: list[float]) -> list[float]:
 
 def _kl_tangent(p: list[float], ref_log_probs: list[float]) -> list[float]:
     return _tangent(p, [log(a) - b for a, b in zip(p, ref_log_probs)])
-
-
-def exact_policy_gradient(policy: TabularPolicy, rewards: np.ndarray) -> np.ndarray:
-    """Exact objective gradient: component y is pi(y) * (r(y) - E_pi[r])."""
-    import numpy as np
-    return np.array(_tangent(softmax(_floats(policy.logits)), _floats(rewards)))
-
-
-def kl_gradient(policy: TabularPolicy, ref_log_probs: np.ndarray) -> np.ndarray:
-    """Gradient of KL(pi_theta || pi_ref) with respect to the logits."""
-    import numpy as np
-    return np.array(_kl_tangent(softmax(_floats(policy.logits)), _floats(ref_log_probs)))
-
-
-def policy_velocity(probs: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """Closed-form d pi / dt under the exact gradient flow.
-
-    pi(y)^2 (r(y) - E[r]) - pi(y) * sum_y' pi(y')^2 (r(y') - E[r]),
-    which is the tangent of the logit gradient g: pi(y) * (g(y) - E[g]).
-    """
-    import numpy as np
-    p = _floats(probs)
-    return np.array(_tangent(p, _tangent(p, _floats(rewards))))
 
 
 @dataclass(frozen=True)

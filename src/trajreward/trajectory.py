@@ -299,8 +299,13 @@ def kind_name(kind) -> str:
     return str(kind) if get_args(kind) else kind.__name__
 
 
-def check_fields(record: dict, fields: Mapping[str, Any]) -> None:
-    """ValueError unless ``record`` has each field of ``fields`` with its kind."""
+def check_fields(record: dict, fields: Mapping[str, Any], optional=None) -> None:
+    """ValueError unless ``record`` has each field of ``fields`` with its kind
+    and, when the key collection ``optional`` is given, no key outside both."""
+    if optional is not None:
+        unknown = [key for key in record if key not in fields and key not in optional]
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
     missing = fields.keys() - record.keys()
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
@@ -320,10 +325,13 @@ def correct_label(record: dict) -> bool | None:
     return label
 
 
-def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict) -> Iterator:
+def read_jsonl(
+    path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict, optional=None
+) -> Iterator:
     """Yield ``build(record)`` for each record of a line-delimited JSON file.
 
-    Each record must be a JSON object with the ``fields`` kinds (see
+    Each record must be a JSON object with the ``fields`` kinds and, when
+    ``optional`` is given, no key outside ``fields`` and ``optional`` (see
     ``check_fields``). A line that is not, holds a byte that is not UTF-8,
     or on which ``build`` raises a ValueError, is an InputError naming the
     file and line.
@@ -340,7 +348,7 @@ def read_jsonl(path, fields: Mapping[str, Any], build: Callable[[dict], Any] = d
             if not isinstance(rec, dict):
                 raise InputError(f"{where}: not a JSON object but {type(rec).__name__}")
             try:
-                check_fields(rec, fields)
+                check_fields(rec, fields, optional)
                 item = build(rec)
             except ValueError as exc:
                 raise InputError(f"{where}: {exc}") from exc

@@ -5,14 +5,19 @@ trajectories become strongly predictive of their own final answer from
 an early state onward, while "incorrect" trajectories lean toward the
 rival answer until the very last state. Each trajectory uses its own
 step symbols, so every state's preferences are planted independently.
+
+The shipped fixture ``tests/fixtures/planted_batch.jsonl`` holds
+``planted_records(PlantedSpec())``, and the ``scorer.toy`` mapping of
+``tests/fixtures/planted_config.yaml`` is ``toy_config`` of its
+``planted_model``; ``test_fixture_matches_generator`` checks both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scoring import ToyModel
-from .trajectory import PromptBatch, SegmentationRules, segment_trajectory
+from trajreward.scoring import ToyModel
+from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
 
 CORRECT_ANSWER = "7"
 WRONG_ANSWER = "9"
@@ -87,6 +92,24 @@ def planted_model(spec: PlantedSpec) -> ToyModel:
             model.boost([steps[i - 1]], CORRECT_ANSWER, BOOST)
         model.boost([steps[spec.num_steps - 2]], WRONG_ANSWER, BOOST)
     return model
+
+
+def toy_config(model: ToyModel) -> dict:
+    """The ``scorer.toy`` mapping that ``ToyModel.from_config`` rebuilds ``model`` from."""
+    return {
+        "vocabulary": list(model.vocabulary),
+        "order": model.order,
+        "seed": model.seed,
+        "init": model.init,
+        "boosts": [
+            {"context": list(ctx), "token": model.vocabulary[tok_idx], "delta": delta}
+            for (ctx, tok_idx), delta in sorted(
+                ((ctx, tok_idx), delta)
+                for ctx, deltas in model._boosts.items()
+                for tok_idx, delta in deltas.items()
+            )
+        ],
+    }
 
 
 def planted_batch(spec: PlantedSpec, rules: SegmentationRules | None = None) -> PromptBatch:

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gradients import exact_policy_gradient, policy_velocity
+from planted import PlantedSpec, planted_batch, planted_model
 from reference_loop import group_rewards_reference
 
 from trajreward.analysis import curve_aggregate
 from trajreward.distance import batch_distance_matrices, normalized_curve, score_plan
-from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.probes import probe_reward_perturbations
 from trajreward.rewards import (
     TrajectoryFeatures,
@@ -31,10 +32,8 @@ from trajreward.simulate import (
     ConvergenceInstance,
     FlowConfig,
     TabularPolicy,
-    exact_policy_gradient,
     flow_step,
     growth_bound_satisfied,
-    policy_velocity,
     random_latent_model,
     simulate_collapse,
     simulate_convergence,

@@ -14,13 +14,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from planted import PlantedSpec, planted_model, planted_records, toy_config
 
 from trajreward.cli import main
 from trajreward.distance import plan_requests
 from trajreward.errors import CacheMiss
-from trajreward.planted import PlantedSpec, planted_model, planted_records
 from trajreward.scoring import FileCacheScorer, HttpScorer, ToyModel
-from trajreward.trajectory import SegmentationRules, load_prompt_batches
+from trajreward.trajectory import SegmentationRules, is_kind, load_prompt_batches
 
 
 def write_jsonl(path, records):
@@ -38,7 +38,7 @@ def planted_setup(tmp_path):
         "input": str(batch_path),
         "seed": 0,
         "workers": 1,
-        "scorer": {"source": "toy", "toy": planted_model(spec).to_config()},
+        "scorer": {"source": "toy", "toy": toy_config(planted_model(spec))},
         "reward": {"variant": "vector", "curiosity": True},
     }
     cfg_path = tmp_path / "config.yaml"
@@ -48,6 +48,13 @@ def planted_setup(tmp_path):
 
 GOOD_TRAJECTORY = {
     "prompt_id": "p", "traj_id": "t0", "prompt_text": "q\n\n", "response_text": "a b\n\nAnswer: 7"
+}
+# a minimal line that each reader accepts
+GOOD_LINES = {
+    "trajectory": GOOD_TRAJECTORY,
+    "rewards": {"traj_id": "t0", "con": 1.0, "vol": 0.0, "r_cur": 0.0},
+    "matrices": {"traj_id": "t0", "T": 1, "K": 2, "rows": [[0.5, 1.0]], "answer_order": ["7", "8"]},
+    "cache": {"key": "k", "token_logprobs": [-1.0]},
 }
 
 
@@ -419,6 +426,17 @@ class TestExitCodes:
             ),
             ("analyze-matrices", '{"traj_id": "t1", "answer_order": []}', "missing fields ['rows']"),
             (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": 0.0, "rank": 1}',
+                "unknown field 'rank'",
+            ),
+            (
+                "analyze-matrices",
+                '{"traj_id": "t1", "answer_order": ["7", "8"], "rows": [[1.0, 2.0]], "T": 1, '
+                '"K": 2, "steps": []}',
+                "unknown field 'steps'",
+            ),
+            (
                 "analyze-matrices",
                 '{"traj_id": "t1", "answer_order": ["x"], "rows": [[1.0, 2.0]], "T": 5, "K": 9}',
                 "must match the 1 x 2 rows",
@@ -512,19 +530,19 @@ class TestExitCodes:
         ],
     )
     def test_malformed_jsonl_line_is_input_error(self, tmp_path, capsys, command, line, message):
-        # one line that every reader accepts, so line 2 is the first bad one; a
-        # cache line holds its two fields only
-        good = dict(
-            GOOD_TRAJECTORY, con=1.0, vol=0.0, r_cur=0.0, T=1, K=2, rows=[[0.5, 1.0]],
-            answer_order=["7", "8"],
-        )
-        first = {"key": "k", "token_logprobs": [-1.0]} if "cache" in command else good
+        # line 1 is one that the command's reader accepts, so line 2 is the first bad one
+        reader = {
+            "analyze-rewards": "rewards", "analyze-matrices": "matrices",
+            "cache": "cache", "http-cache": "cache",
+        }.get(command, "trajectory")
         good_path, path = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
-        good_path.write_text(json.dumps(good) + "\n")
-        path.write_text(json.dumps(first) + "\n" + line + "\n")
+        good_path.write_text(json.dumps(GOOD_TRAJECTORY) + "\n")
+        path.write_text(json.dumps(GOOD_LINES[reader]) + "\n" + line + "\n")
         out = str(tmp_path / "o")
         if command == "analyze-input":
-            argv = ["analyze", "--input", str(path), "--rewards", str(good_path), "--out", out]
+            rewards_path = tmp_path / "rewards.jsonl"
+            rewards_path.write_text(json.dumps(GOOD_LINES["rewards"]) + "\n")
+            argv = ["analyze", "--input", str(path), "--rewards", str(rewards_path), "--out", out]
         elif command == "analyze-rewards":
             argv = ["analyze", "--rewards", str(path), "--out", out]
         elif command == "analyze-matrices":
@@ -783,6 +801,120 @@ class TestScoreCacheLines:
         assert (base / "o" / "rewards.jsonl").read_bytes() == rewards
 
 
+class TestRewardExportLines:
+    """One field of one line of a ``reward``-written ``rewards.jsonl`` or
+    ``matrices.jsonl``, changed to a value outside the writer's, is read by
+    ``analyze`` to the same outputs or is exit 2 naming that line."""
+
+    KINDS = {
+        "rewards.jsonl": {
+            "prompt_id": str, "traj_id": str, "group": int, "skip": bool, "correct": bool | None,
+            **dict.fromkeys(
+                ["con", "vol", "r_int_linear", "r_int_vector", "r_cur", "r_total", "advantage"], float
+            ),
+        },
+        "matrices.jsonl": {
+            "traj_id": str, "T": int, "K": int, "answer_order": list[str],
+            "rows": list[list[float]], "correct": bool | None,
+        },
+    }
+    OUTPUTS = ("feature_stats.csv", "curves.csv")
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, fixtures_dir):
+        base = tmp_path_factory.mktemp("export_lines")
+        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
+        argv = ["reward", "--config", str(config), "--input", str(batch), "--out", str(base / "r")]
+        assert main(argv) == 0
+        exports = {name: read_lines(base / "r" / name) for name in self.KINDS}
+        assert self.run(base, exports) == (0, "")
+        assert set(self.KINDS["rewards.jsonl"]) == set(exports["rewards.jsonl"][0])
+        assert set(self.KINDS["matrices.jsonl"]) == set(exports["matrices.jsonl"][0])
+        return base, exports, self.outputs(base)
+
+    @classmethod
+    def outputs(cls, base):
+        return {name: (base / "o" / name).read_bytes() for name in cls.OUTPUTS}
+
+    @staticmethod
+    def run(base, exports, changed=None):
+        """``analyze`` on ``exports``; ``changed`` is (file name, line index, line text)."""
+        for name, records in exports.items():
+            lines = [json.dumps(rec) for rec in records]
+            if changed and changed[0] == name:
+                lines[changed[1]] = changed[2]
+            (base / name).write_text("".join(line + "\n" for line in lines))
+        argv = ["analyze", "--rewards", str(base / "rewards.jsonl"),
+                "--matrices", str(base / "matrices.jsonl"), "--out", str(base / "o")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @classmethod
+    def broken(cls, data, name, rec):
+        """``rec`` with one field outside the writer's values. A line without
+        ``correct`` is an unlabeled one, not a broken one: see
+        ``test_a_line_without_correct_reads_as_unlabeled``."""
+        kinds = cls.KINDS[name]
+        rec = dict(rec)
+        kind = data.draw(st.sampled_from(["missing", "extra", "type", "non-finite", "range"]))
+        if kind == "missing":
+            del rec[data.draw(st.sampled_from(sorted(rec.keys() - {"correct"})))]
+        elif kind == "extra":
+            rec[data.draw(st.text(max_size=6).filter(lambda k: k not in rec))] = data.draw(JSON_VALUES)
+        elif kind == "type":
+            key = data.draw(st.sampled_from(sorted(kinds)))
+            rec[key] = data.draw(JSON_VALUES.filter(lambda v: not is_kind(v, kinds[key])))
+        elif name == "matrices.jsonl":
+            rows = [list(row) for row in rec["rows"]]
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            if kind == "non-finite":
+                rows[i][j] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            else:
+                shape = data.draw(st.sampled_from(["cell", "T", "K"]))
+                if shape == "cell":
+                    rows[i][j] = data.draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+                else:
+                    rec[shape] = data.draw(st.integers(-3, 64).filter(lambda v: v != rec[shape]))
+            rec["rows"] = rows
+        elif kind == "non-finite":
+            key = data.draw(st.sampled_from(sorted(k for k, v in kinds.items() if v is float)))
+            rec[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            rec[data.draw(st.sampled_from(["con", "vol"]))] = data.draw(
+                st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+                | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+            )
+        return kind, rec
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_changed_line_reads_the_same_or_is_input_error_naming_it(self, workdir, data):
+        base, exports, outputs = workdir
+        name = data.draw(st.sampled_from(sorted(exports)))
+        index = data.draw(st.integers(0, len(exports[name]) - 1))
+        kind, rec = self.broken(data, name, exports[name][index])
+        code, err = self.run(base, exports, (name, index, json.dumps(rec)))
+        if code == 0 and kind != "extra":  # a key the writer never writes is always rejected
+            assert self.outputs(base) == outputs, kind
+        else:
+            assert code == 2, kind
+            assert err.startswith(f"error: {base / name}:{index + 1}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_a_line_without_correct_reads_as_unlabeled(self, workdir, name):
+        base, exports, _ = workdir
+        unlabeled = dict(exports[name][0], correct=None)
+        assert self.run(base, exports, (name, 0, json.dumps(unlabeled))) == (0, "")
+        expected = self.outputs(base)
+        del unlabeled["correct"]
+        assert self.run(base, exports, (name, 0, json.dumps(unlabeled))) == (0, "")
+        assert self.outputs(base) == expected
+
+
 class _CountingScoreHandler(BaseHTTPRequestHandler):
     """Deterministic scores per (prefix, continuation); prompts starting
     with REJECT get HTTP 400. Requests are recorded in arrival order."""
@@ -955,7 +1087,7 @@ class TestScoreAndRewardPipeline:
         write_jsonl(batch_path, planted_records(spec))
         cfg = {
             "input": str(batch_path),
-            "scorer": {"source": "toy", "toy": planted_model(spec).to_config()},
+            "scorer": {"source": "toy", "toy": toy_config(planted_model(spec))},
             "reward": {"curiosity": False},
         }
         cfg_path = tmp_path / "c.yaml"
@@ -972,7 +1104,7 @@ class TestScoreAndRewardPipeline:
         write_jsonl(batch_path, planted_records(spec))
         cfg = {
             "input": str(batch_path),
-            "scorer": {"source": "toy", "toy": planted_model(spec).to_config()},
+            "scorer": {"source": "toy", "toy": toy_config(planted_model(spec))},
             "reward": {"curiosity": False},
         }
         cfg_path = tmp_path / "c.yaml"
@@ -1034,7 +1166,7 @@ class TestAnalyzeCommand:
         write_jsonl(batch_path, records)
         cfg = {
             "input": str(batch_path),
-            "scorer": {"source": "toy", "toy": planted_model(spec).to_config()},
+            "scorer": {"source": "toy", "toy": toy_config(planted_model(spec))},
             "reward": {"curiosity": False},
         }
         cfg_path = tmp_path / "c.yaml"
@@ -1239,7 +1371,7 @@ class TestShippedFixture:
         shipped = read_lines(fixtures_dir / "planted_batch.jsonl")
         assert shipped == expected
         cfg = yaml.safe_load((fixtures_dir / "planted_config.yaml").read_text())
-        assert cfg["scorer"]["toy"] == planted_model(spec).to_config()
+        assert cfg["scorer"]["toy"] == toy_config(planted_model(spec))
 
     @pytest.mark.parametrize("weight", [1e308, 1e200])
     def test_overflowing_curiosity_weight_writes_no_rewards(

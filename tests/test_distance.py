@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from planted import PlantedSpec, planted_batch, planted_model
 
 from trajreward.distance import (
     DistanceMatrix,
@@ -14,7 +15,6 @@ from trajreward.distance import (
     write_matrices,
 )
 from trajreward.errors import EmptyAnswer, SingleAnswerBatch
-from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import consistency
 from trajreward.scoring import PerRequestSource, ScoreRequest, ScoreResponse, ToyModel
 from trajreward.trajectory import PromptBatch, SegmentationRules, segment_trajectory
@@ -68,7 +68,7 @@ class TestStateAnswerDistance:
         assert distance_from_logprobs([-1.0, -3.0]) == 2.0
 
     def test_uniform_vocab_three_token_answer(self):
-        model = ToyModel.uniform(VOCAB, order=2)
+        model = ToyModel(VOCAB, order=2, init="uniform")
         traj = traj_of(["a b"], "c d a")
         m = matrix_of(traj, ["c d a"], model)
         assert [len(row) for row in m.values] == [1]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from planted import PlantedSpec, planted_batch, planted_model
 
 from trajreward.distance import batch_distance_matrices, curiosity_reward, score_plan
 from trajreward.errors import EmptyGroup, MissingMatrix
-from trajreward.planted import PlantedSpec, planted_batch, planted_model
 from trajreward.rewards import (
     ADVANTAGE_EPS,
     CuriosityConfig,

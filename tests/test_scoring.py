@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from planted import toy_config
 
 from trajreward.errors import CacheMiss, MalformedResponse, ServiceUnavailable
 from trajreward.scoring import (
@@ -73,7 +74,7 @@ class TestToyModel:
         assert resp.token_logprobs == (0.0, 0.0, 0.0)
 
     def test_uniform_model_gives_log_quarter(self):
-        model = ToyModel.uniform(VOCAB, order=2)
+        model = ToyModel(VOCAB, order=2, init="uniform")
         resp = model.score(ScoreRequest("a b", "c d a"))
         for lp in resp.token_logprobs:
             assert lp == pytest.approx(math.log(0.25), abs=1e-15)
@@ -112,7 +113,7 @@ class TestToyModel:
     def test_boost_roundtrip_through_config(self):
         model = ToyModel(VOCAB, order=2, seed=5)
         model.boost(["a"], "c", 4.0)
-        clone = ToyModel.from_config(model.to_config())
+        clone = ToyModel.from_config(toy_config(model))
         req = ScoreRequest("b a", "c d")
         assert clone.score(req) == model.score(req)
 
@@ -140,10 +141,10 @@ class TestToyModel:
         boost(["b"], "b", 3.0)
         assert [model.score(r) for r in requests] == [reference.score(r) for r in requests]
 
-        config = model.to_config()
+        config = toy_config(model)
         assert config["boosts"] == reference.config_boosts()
         clone = ToyModel.from_config(config)
-        assert clone.to_config() == config
+        assert toy_config(clone) == config
         assert [clone.score(r) for r in requests] == [model.score(r) for r in requests]
 
     @pytest.mark.parametrize("workers", [1, 4])

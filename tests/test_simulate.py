@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from gradients import exact_policy_gradient, kl_gradient
 from test_acceptance import _random_convergence_instance
 
 from trajreward.errors import InstanceInvalid, NonConvergence
@@ -15,10 +16,8 @@ from trajreward.simulate import (
     FlowConfig,
     LatentTabularModel,
     TabularPolicy,
-    exact_policy_gradient,
     flow_step,
     growth_bound_satisfied,
-    kl_gradient,
     preferred_mass_instance,
     random_latent_model,
     simulate_collapse,

@@ -16,6 +16,7 @@ import dataclasses
 import sys
 from math import isfinite
 from pathlib import Path
+from typing import get_type_hints
 
 from . import analysis
 from .config import MAX_WORKERS, RunConfig, load_config
@@ -30,6 +31,7 @@ from .distance import (
 from .errors import ScorerError, TrajRewardError
 from .rewards import TrajectoryFeatures, TrajectoryReward, assemble_rewards
 from .scoring import FileCacheScorer, HttpScorer, ToyModel
+from .simulate import run_preset
 from .trajectory import correct_label, load_prompt_batches, read_jsonl, write_json, write_jsonl
 
 EXIT_OK = 0
@@ -258,8 +260,8 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-# every key of a rewards.jsonl line, as cmd_reward writes it
-REWARD_KEYS = {f.name for f in dataclasses.fields(TrajectoryReward)} | {"prompt_id", "correct"}
+# the kind of every field of a rewards.jsonl line; ``correct`` is checked by correct_label
+REWARD_KINDS = {**get_type_hints(TrajectoryReward), "prompt_id": str, "correct": None}
 
 
 def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
@@ -267,8 +269,9 @@ def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
     for name in ("con", "vol"):
         if not 0.0 <= rec[name] <= 1.0:  # fractions by construction; NaN fails too
             raise ValueError(f"{name} {rec[name]!r} is outside [0, 1]")
-    if not isfinite(rec["r_cur"]):  # the writer only writes finite curiosity
-        raise ValueError(f"r_cur {rec['r_cur']!r} is not finite")
+    for name, value in rec.items():
+        if REWARD_KINDS[name] is float and not isfinite(value):  # the writer writes finite floats
+            raise ValueError(f"{name} {value!r} is not finite")
     features = TrajectoryFeatures(rec["traj_id"], rec["con"], rec["vol"], rec["r_cur"])
     return features, correct_label(rec)
 
@@ -281,8 +284,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         raise ValueError("analyze needs --rewards and/or --matrices exports")
 
     if rewards_path:
-        fields = {"traj_id": str, "con": float, "vol": float, "r_cur": float}
-        records = list(read_jsonl(rewards_path, fields, _labelled_features, optional=REWARD_KEYS))
+        fields = {name: REWARD_KINDS[name] for name in ("traj_id", "con", "vol", "r_cur")}
+        records = list(read_jsonl(rewards_path, fields, _labelled_features, REWARD_KINDS))
         if not records:
             raise ValueError(f"no reward records in {rewards_path}")
         features, labels = zip(*records)
@@ -312,8 +315,6 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     """Run the configured preset and write assertions.json; exit 5 if a check fails."""
-    from .simulate import run_preset  # imported here: no other command needs it
-
     out = _out_dir(cfg)
     ok, assertions = run_preset(cfg.simulate, cfg.seed, out)
     write_json(out / "assertions.json", assertions)

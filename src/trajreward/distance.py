@@ -189,7 +189,7 @@ def write_matrices(matrices, path) -> None:
 def read_matrices(path) -> list[DistanceMatrix]:
     """Matrices exported by ``write_matrices``; a malformed line is an InputError."""
     fields = {"traj_id": str, "rows": list[list[float]], "answer_order": list[str]}
-    return list(read_jsonl(path, fields, _matrix_record, optional=("T", "K", "correct")))
+    return list(read_jsonl(path, fields, _matrix_record, dict.fromkeys(["T", "K", "correct"])))
 
 
 def _matrix_record(rec: dict) -> DistanceMatrix:

@@ -209,10 +209,10 @@ def check_toy_settings(cfg: dict) -> dict:
     cfg = {"order": 2, "seed": 0, "init": "dirichlet", "boosts": [], **cfg}
     try:
         kinds = {"vocabulary": list[str], "order": int, "seed": int, "init": str}
-        check_fields(cfg, {**kinds, "boosts": list[dict]}, optional=())
+        check_fields(cfg, {**kinds, "boosts": list[dict]}, optional={})
         _check_model(cfg["vocabulary"], cfg["order"], cfg["init"])
         for b in cfg["boosts"]:
-            check_fields(b, {"context": list[str], "token": str, "delta": float}, optional=())
+            check_fields(b, {"context": list[str], "token": str, "delta": float}, optional={})
     except ValueError as exc:
         raise ValueError(f"scorer.toy: {exc}") from exc
     return cfg
@@ -234,7 +234,7 @@ class FileCacheScorer(PerRequestSource):
     def load(cls, path) -> "FileCacheScorer":
         """Read a cache file; a line that is not a cache entry is an InputError."""
         fields = {"key": str, "token_logprobs": list[float]}
-        return cls(dict(read_jsonl(path, fields, _cache_entry, optional=())))
+        return cls(dict(read_jsonl(path, fields, _cache_entry, optional={})))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
         with self._lock:

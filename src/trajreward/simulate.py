@@ -11,16 +11,12 @@ and write their results.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, isfinite, log
+from math import exp, inf, isfinite, log, nan
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import InstanceInvalid, NonConvergence
 from .trajectory import write_jsonl
-
-if TYPE_CHECKING:  # numpy is imported only where the math needs arrays
-    import numpy as np
 
 GROWTH_RATE = 2.0  # probability mass can grow at most like exp(2 t)
 
@@ -43,23 +39,28 @@ def softmax(logits: list[float]) -> list[float]:
 class TabularPolicy:
     """Softmax distribution over a finite output set, one logit per output."""
 
-    logits: np.ndarray
+    logits: list[float]  # a list or an array; stored as a list of floats
+
+    def __post_init__(self):
+        self.logits = _floats(self.logits)
 
     @classmethod
     def from_probs(cls, pi0) -> "TabularPolicy":
-        import numpy as np
-        p = np.asarray(pi0, dtype=float)
-        _check_distribution("pi0", p)
-        return cls(np.log(p / p.sum()))
+        _check_distribution("pi0", pi0)
+        total = sum(pi0)
+        return cls([log(p / total) for p in pi0])
 
     @property
-    def probs(self) -> np.ndarray:
-        import numpy as np
-        return np.array(softmax(_floats(self.logits)))
+    def probs(self) -> list[float]:
+        return softmax(self.logits)
 
 
 def _floats(values) -> list[float]:
     return [float(x) for x in values]
+
+
+def _log(x: float) -> float:
+    return -inf if x == 0 else log(x)  # log 0 = -inf, not a ValueError
 
 
 def _expectation(p: list[float], f: list[float]) -> float:
@@ -204,12 +205,12 @@ class CollapseReport:
     while the modal output keeps collecting reward 1.
     """
 
-    times: np.ndarray
-    probs: np.ndarray  # checkpoints x outputs
-    y_star: np.ndarray
-    modal_prob: np.ndarray
-    true_accuracy: np.ndarray
-    expected_proxy: np.ndarray
+    times: list[float]
+    probs: list[list[float]]  # checkpoints x outputs
+    y_star: list[int]
+    modal_prob: list[float]
+    true_accuracy: list[float]
+    expected_proxy: list[float]
     target: float
     converged: bool
     monotone: bool
@@ -240,8 +241,9 @@ def simulate_collapse(
         raise ValueError(f"target {target} must lie in (0, 1)")
     if mode == "sampled" and config.sample_count < 1:
         raise ValueError(f"sample_count {config.sample_count} must be >= 1 when sampled")
-    import numpy as np
-    rng = np.random.default_rng(config.seed)
+    if mode == "sampled":  # only sampled votes need numpy's seeded generator
+        import numpy as np
+        rng = np.random.default_rng(config.seed)
 
     def majority_reward(p):
         if mode == "exact":
@@ -253,21 +255,20 @@ def simulate_collapse(
         rewards[star] = 1.0
         return rewards
 
-    times, probs, rewards = map(np.array, _run_flow(pi0.logits, config, majority_reward))
-    stars = rewards.argmax(axis=1)
-    modal = probs[np.arange(len(stars)), stars]
-    truth = truth_index if truth_index is not None else int(stars[0])
-    monotone = bool(np.all(np.diff(modal) >= 0.0)) if mode == "exact" else True
+    times, probs, rewards = _run_flow(pi0.logits, config, majority_reward)
+    stars = [r.index(1.0) for r in rewards]
+    modal = [p[star] for p, star in zip(probs, stars)]
+    truth = truth_index if truth_index is not None else stars[0]
     return CollapseReport(
         times=times,
         probs=probs,
         y_star=stars,
         modal_prob=modal,
-        true_accuracy=probs[:, truth],
+        true_accuracy=[p[truth] for p in probs],
         expected_proxy=modal,  # E_pi[1{y = y*}] = pi(y*)
         target=target,
-        converged=bool(modal[-1] >= target),
-        monotone=monotone,
+        converged=modal[-1] >= target,
+        monotone=mode == "sampled" or all(a <= b for a, b in zip(modal, modal[1:])),
         growth_ok=growth_bound_satisfied(probs[0], times, probs),
     )
 
@@ -429,69 +430,69 @@ def simulate_convergence(instance: ConvergenceInstance, config: FlowConfig) -> C
 class LatentTabularModel:
     """Prior over latent states and per-state output conditionals."""
 
-    prior: np.ndarray  # (S,)
-    conditional: np.ndarray  # (S, Y), rows sum to 1
+    prior: list[float]  # S entries; lists or arrays are stored as lists of floats
+    conditional: list[list[float]]  # S x Y, rows sum to 1
 
     def __post_init__(self):
-        import numpy as np
-        self.prior = np.asarray(self.prior, dtype=float)
-        self.conditional = np.asarray(self.conditional, dtype=float)
+        self.prior = _floats(self.prior)
+        self.conditional = [_floats(row) for row in self.conditional]
         _check_distribution("prior", self.prior)
+        if len(self.conditional) != len(self.prior) or len(set(map(len, self.conditional))) != 1:
+            raise ValueError("conditional must hold one row per latent state, all of one length")
         for row in self.conditional:
             _check_distribution("conditional row", row, strict=False)
 
     @property
-    def marginal(self) -> np.ndarray:
+    def marginal(self) -> list[float]:
         """Exact output marginal by enumerating latent states."""
-        return self.prior @ self.conditional
+        return [_expectation(self.prior, column) for column in zip(*self.conditional)]
 
-    def posterior(self) -> np.ndarray:
-        """(Y, S) posterior over latent states for each output."""
-        joint = self.prior[:, None] * self.conditional  # (S, Y)
-        return (joint / joint.sum(axis=0, keepdims=True)).T
+    def posterior(self) -> list[list[float]]:
+        """Y x S posterior over latent states for each output; NaN where p(y) = 0."""
+        columns = zip(zip(*self.conditional), self.marginal)
+        return [[a * b / p_y if p_y else nan for a, b in zip(self.prior, c)] for c, p_y in columns]
 
 
 @dataclass
 class ElboReport:
     """Per-output gap log p(y) - ELBO(q, y); the bound holds when gaps >= 0."""
 
-    gaps: np.ndarray
+    gaps: list[float]
     tol: float = 1e-9
 
     @property
     def holds(self) -> bool:
-        return bool((self.gaps >= -self.tol).all())
+        return all(g >= -self.tol for g in self.gaps)
 
     @property
     def tight(self) -> bool:
-        return bool((abs(self.gaps) <= self.tol).all())
+        return all(abs(g) <= self.tol for g in self.gaps)
 
 
 def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
     """Evaluate the latent-state evidence lower bound for each output.
 
-    ``q`` is a distribution over latent states, either one shared row of
-    shape (S,) or a per-output matrix of shape (Y, S). The bound uses the
-    conditional log-likelihood directly as the reward term:
+    ``q`` is a distribution over latent states: one row of S entries shared by
+    every output, or one row per output (Y x S). The reward term is log p(y | s):
 
         log p(y) >= E_q[log p(y | s)] - KL(q || prior).
     """
-    import numpy as np
-    q = np.asarray(q, dtype=float)
-    n_latent, n_out = model.conditional.shape
-    if q.ndim == 1:
-        q = np.tile(q, (n_out, 1))
-    if q.shape != (n_out, n_latent):
+    n_latent, n_out = len(model.prior), len(model.conditional[0])
+    shared = not (len(q) and hasattr(q[0], "__len__"))  # one row of numbers for every output
+    rows = [_floats(q)] * n_out if shared else [_floats(row) for row in q]
+    if len(rows) != n_out or any(len(row) != n_latent for row in rows):
         raise ValueError(f"q must have shape ({n_out}, {n_latent})")
-    if not (np.isfinite(q).all() and (q > 0).all()):  # NaN fails too
+    if not all(0.0 < x < inf for row in rows for x in row):  # NaN fails too
         raise ValueError("q must be finite and strictly positive")
-    q = q / q.sum(axis=1, keepdims=True)
-
-    log_marginal = np.log(model.marginal)
-    log_cond = np.log(model.conditional)  # (S, Y)
-    reward_term = np.einsum("ys,sy->y", q, log_cond)
-    kl = (q * (np.log(q) - np.log(model.prior)[None, :])).sum(axis=1)
-    return ElboReport(gaps=log_marginal - (reward_term - kl))
+    gaps = []
+    for y, (row, p_y) in enumerate(zip(rows, model.marginal)):
+        total = sum(row)
+        q_y = [a / total for a in row]
+        # a zero p(y | s) makes the reward term -inf and the gap inf: held, not tight
+        reward_term = sum(a * _log(c[y]) for a, c in zip(q_y, model.conditional))
+        kl = sum(a * (_log(a) - log(b)) for a, b in zip(q_y, model.prior))
+        gaps.append(_log(p_y) - (reward_term - kl))
+    return ElboReport(gaps=gaps)
 
 
 def random_latent_model(n_latent: int, n_outputs: int, rng) -> LatentTabularModel:
@@ -522,10 +523,8 @@ SWEEP_MASSES = (0.3, 0.2, WORKED_MASS, 0.05)
 
 
 def _write_series(path: Path, report, e_true, e_proxy) -> None:
-    write_jsonl(path, (
-        {"t": float(t), "pi": _floats(p), "E_r_true": float(a), "E_r_proxy": float(b)}
-        for t, p, a, b in zip(report.times, report.probs, e_true, e_proxy)
-    ))
+    rows = zip(report.times, report.probs, e_true, e_proxy)
+    write_jsonl(path, (dict(zip(("t", "pi", "E_r_true", "E_r_proxy"), row)) for row in rows))
 
 
 def _collapse_preset(sim, flow: FlowConfig, out: Path):
@@ -536,8 +535,8 @@ def _collapse_preset(sim, flow: FlowConfig, out: Path):
         "converged": report.converged,
         "monotone": report.monotone,
         "growth_bound": report.growth_ok,
-        "final_modal_prob": float(report.modal_prob[-1]),
-        "final_true_accuracy": float(report.true_accuracy[-1]),
+        "final_modal_prob": report.modal_prob[-1],
+        "final_true_accuracy": report.true_accuracy[-1],
         "modal_reward_constant_one": True,  # by construction of the majority reward
     }
     return report.converged and report.monotone and report.growth_ok, assertions
@@ -566,8 +565,8 @@ def _convergence_preset(sim, flow: FlowConfig, out: Path):
             sweep_ok = sweep_ok and within
             fh.write(f"{mass:>10.4f} {hit:>12.4f} {instance.bound:>12.4f} {str(within):>8}\n")
     assertions = {
-        "hit_time": float(report.hit_time),
-        "bound": float(report.bound),
+        "hit_time": report.hit_time,
+        "bound": report.bound,
         "within_bound": report.within_bound,
         "growth_bound": report.growth_ok,
         "sweep_within_bound": sweep_ok,
@@ -583,8 +582,8 @@ def _elbo_preset(sim, flow: FlowConfig, out: Path):
     assertions = {
         "prior_bound_holds": prior_report.holds,
         "posterior_tight": posterior_report.tight,
-        "min_gap_prior": float(prior_report.gaps.min()),
-        "max_abs_gap_posterior": float(abs(posterior_report.gaps).max()),
+        "min_gap_prior": min(prior_report.gaps),
+        "max_abs_gap_posterior": max(map(abs, posterior_report.gaps)),
     }
     return prior_report.holds and posterior_report.tight, assertions
 
@@ -596,9 +595,9 @@ def _growth_preset(sim, flow: FlowConfig, out: Path):
     worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
-        policy = TabularPolicy.from_probs(rng.dirichlet(np.ones(n)))
+        pi0 = rng.dirichlet(np.ones(n))
         rewards = rng.random(n).tolist()
-        times, probs, _ = _run_flow(policy.logits, flow, lambda p: rewards)
+        times, probs, _ = _run_flow(np.log(pi0 / pi0.sum()), flow, lambda p: rewards)
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
         for t, p in zip(times[1:], probs[1:]):

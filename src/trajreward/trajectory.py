@@ -300,8 +300,8 @@ def kind_name(kind) -> str:
 
 
 def check_fields(record: dict, fields: Mapping[str, Any], optional=None) -> None:
-    """ValueError unless ``record`` has each field of ``fields`` with its kind
-    and, when the key collection ``optional`` is given, no key outside both."""
+    """ValueError unless ``record`` has each field of ``fields`` with its kind and,
+    when ``optional`` maps keys to kinds (None: any), no other key nor one of another kind."""
     if optional is not None:
         unknown = [key for key in record if key not in fields and key not in optional]
         if unknown:
@@ -309,8 +309,8 @@ def check_fields(record: dict, fields: Mapping[str, Any], optional=None) -> None
     missing = fields.keys() - record.keys()
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
-    for name, kind in fields.items():
-        if not is_kind(record[name], kind):
+    for name, kind in {**(optional or {}), **fields}.items():
+        if name in record and kind is not None and not is_kind(record[name], kind):
             raise ValueError(
                 f"field {name!r} must be {kind_name(kind)}, not {type(record[name]).__name__}"
             )

@@ -109,8 +109,8 @@ def test_criterion_3_monotonicity_and_robustness_sweep():
 def step(policy, rewards, config):
     """One ``flow_step`` from a policy, on the float lists it works on."""
     rewards = np.asarray(rewards, dtype=float).tolist()
-    logits, _ = flow_step(policy.logits.tolist(), policy.probs.tolist(), rewards, config)
-    return TabularPolicy(np.array(logits))
+    logits, _ = flow_step(policy.logits, policy.probs, rewards, config)
+    return TabularPolicy(logits)
 
 
 def test_criterion_4_gradient_and_flow_checks():
@@ -126,7 +126,7 @@ def test_criterion_4_gradient_and_flow_checks():
         eps = 1e-5
         fd = np.zeros(n)
         for i in range(n):
-            up, down = policy.logits.copy(), policy.logits.copy()
+            up, down = np.array(policy.logits), np.array(policy.logits)
             up[i] += eps
             down[i] -= eps
             pu = np.exp(up - up.max()); pu /= pu.sum()
@@ -137,7 +137,7 @@ def test_criterion_4_gradient_and_flow_checks():
         assert rel <= 1e-6
 
         # realized probability velocity vs the closed form
-        realized = (step(policy, rewards, step_cfg).probs - policy.probs) / h
+        realized = (np.array(step(policy, rewards, step_cfg).probs) - policy.probs) / h
         assert np.allclose(realized, policy_velocity(policy.probs, rewards), atol=100 * h)
 
     # the worked two-output point evaluates to 0.1152
@@ -176,7 +176,7 @@ def test_criterion_5_majority_vote_collapse():
     assert report.monotone
     assert (np.diff(report.modal_prob) >= 0.0).all()
     # the modal output collects reward 1 every step while accuracy collapses
-    assert (report.y_star == report.y_star[0]).all()
+    assert (np.array(report.y_star) == report.y_star[0]).all()
     assert report.true_accuracy[-1] < 0.01
     assert report.expected_proxy[-1] >= 0.99
     assert report.growth_ok
@@ -257,9 +257,9 @@ def test_criterion_7_elbo_bound():
         model = random_latent_model(int(rng.integers(2, 5)), int(rng.integers(2, 6)), rng)
         prior_report = verify_elbo(model, model.prior)
         posterior_report = verify_elbo(model, model.posterior())
-        assert (prior_report.gaps >= -1e-9).all()
+        assert (np.array(prior_report.gaps) >= -1e-9).all()
         assert (np.abs(posterior_report.gaps) <= 1e-9).all()
-        worst_prior = min(worst_prior, float(prior_report.gaps.min()))
+        worst_prior = min(worst_prior, float(np.min(prior_report.gaps)))
         worst_posterior = max(worst_posterior, float(np.abs(posterior_report.gaps).max()))
     print(f"PASS criterion 7: 100 latent models; prior-side min gap {worst_prior:.2e} >= -1e-9; "
           f"posterior max |gap| {worst_posterior:.2e} <= 1e-9")

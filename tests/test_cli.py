@@ -424,6 +424,16 @@ class TestExitCodes:
                 '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": -Infinity}',
                 "r_cur -inf is not finite",
             ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": 0.0, "advantage": NaN}',
+                "advantage nan is not finite",
+            ),
+            (
+                "analyze-rewards",
+                '{"traj_id": "t1", "con": 0.5, "vol": 0.5, "r_cur": 0.0, "group": "x"}',
+                "field 'group' must be int, not str",
+            ),
             ("analyze-matrices", '{"traj_id": "t1", "answer_order": []}', "missing fields ['rows']"),
             (
                 "analyze-rewards",
@@ -897,7 +907,9 @@ class TestRewardExportLines:
         index = data.draw(st.integers(0, len(exports[name]) - 1))
         kind, rec = self.broken(data, name, exports[name][index])
         code, err = self.run(base, exports, (name, index, json.dumps(rec)))
-        if code == 0 and kind != "extra":  # a key the writer never writes is always rejected
+        # a key the writer never writes, a value of another kind and a non-finite
+        # number are always rejected; a value out of range may be read to the same outputs
+        if code == 0 and kind not in ("extra", "type", "non-finite"):
             assert self.outputs(base) == outputs, kind
         else:
             assert code == 2, kind
@@ -1423,12 +1435,19 @@ class TestShippedFixture:
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
         assert (analysis / "curves.csv").exists() and (analysis / "diversity.csv").exists()
 
-    def test_convergence_path_never_imports_numpy(self, tmp_path):
-        convergence, elbo = tmp_path / "convergence", tmp_path / "elbo"
+    @pytest.mark.parametrize("last", ["sampled-collapse", "elbo"])
+    def test_convergence_path_never_imports_numpy(self, tmp_path, last):
+        convergence, collapse = tmp_path / "convergence", tmp_path / "collapse"
+        sampled = tmp_path / "sampled.yaml"
+        sampled.write_text(yaml.safe_dump({"simulate": {"preset": "collapse", "mode": "sampled"}}))
         commands = [
             ["simulate", "--preset", "convergence", "--out", str(convergence)],
-            # the ELBO check does need numpy, so the guard is not vacuous
-            ["simulate", "--preset", "elbo", "--out", str(elbo)],
+            ["simulate", "--out", str(collapse)],  # the default preset: exact collapse
+            # sampled collapse and the ELBO check do need numpy, so the guard is not vacuous
+            {
+                "sampled-collapse": ["simulate", "--config", str(sampled)],
+                "elbo": ["simulate", "--preset", "elbo"],
+            }[last] + ["--out", str(tmp_path / last)],
         ]
         code = (
             "import json, sys\n"
@@ -1446,10 +1465,13 @@ class TestShippedFixture:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # after import, simulate_convergence, the convergence preset, then the elbo preset
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+        # after import, simulate_convergence, the convergence and exact collapse
+        # presets, then sampled collapse or the elbo preset
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
         assert json.loads((convergence / "assertions.json").read_text())["within_bound"] is True
         assert (convergence / "series.jsonl").exists() and (convergence / "sweep.txt").exists()
+        assert json.loads((collapse / "assertions.json").read_text())["monotone"] is True
+        assert (collapse / "series.jsonl").exists()
 
     def test_only_an_http_scorer_loads_http_client(self, fixtures_dir, tmp_path):
         config = fixtures_dir / "planted_config.yaml"

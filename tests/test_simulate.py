@@ -30,8 +30,8 @@ def step(policy, rewards, config, ref_log_probs=None):
     """One ``flow_step`` from a policy, on the float lists it works on."""
     rewards = np.asarray(rewards, dtype=float).tolist()
     ref = None if ref_log_probs is None else np.asarray(ref_log_probs, dtype=float).tolist()
-    logits, _ = flow_step(policy.logits.tolist(), policy.probs.tolist(), rewards, config, ref)
-    return TabularPolicy(np.array(logits))
+    logits, _ = flow_step(policy.logits, policy.probs, rewards, config, ref)
+    return TabularPolicy(logits)
 
 
 def finite_difference_gradient(logits, rewards, eps=1e-5):
@@ -73,7 +73,7 @@ class TestExactGradient:
         policy = TabularPolicy(rng.normal(size=5))
         rewards = rng.random(5)
         exact = exact_policy_gradient(policy, rewards)
-        fd = finite_difference_gradient(policy.logits, rewards)
+        fd = finite_difference_gradient(np.array(policy.logits), rewards)
         assert np.linalg.norm(fd - exact) <= 1e-6 * max(1.0, np.linalg.norm(exact))
 
 
@@ -116,7 +116,7 @@ class TestFlowStep:
         rewards = np.array([0.9, 0.1, 0.4])
         for _ in range(200):
             policy = step(policy, rewards, cfg)
-            p = policy.probs
+            p = np.array(policy.probs)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert (p > 0).all()
 
@@ -238,7 +238,7 @@ def numpy_run_flow(policy: NumpyPolicy, config: FlowConfig, rewards_at, stop=Non
 def numpy_convergence(instance, config):
     """(times, probs) of ``simulate_convergence``'s run on the numpy loop."""
     rho = instance.rho
-    policy = NumpyPolicy(TabularPolicy.from_probs(instance.probs0).logits)
+    policy = NumpyPolicy(np.array(TabularPolicy.from_probs(instance.probs0).logits))
     reached = lambda p: float(p @ instance.r_true) >= rho  # noqa: E731
     times, probs, _ = numpy_run_flow(policy, config, lambda p: instance.r_proxy, reached)
     return times, probs
@@ -271,7 +271,7 @@ def test_float_loop_matches_numpy_loop():
 def test_checkpoints_at_record_every_and_last_step():
     cfg = FlowConfig(step_size=0.1, max_time=2.0, integrator="euler", record_every=7)
     report = simulate_collapse(TabularPolicy.from_probs([0.6, 0.4]), cfg, target=0.5)
-    assert report.times.tolist() == [0.0, 0.7000000000000001, 1.4000000000000001, 2.0]
+    assert report.times == [0.0, 0.7000000000000001, 1.4000000000000001, 2.0]
 
 
 class TestCollapse:
@@ -283,7 +283,7 @@ class TestCollapse:
         assert report.growth_ok
         assert report.modal_prob[-1] >= 0.99
         # strictly increasing until saturating at 1
-        live = report.modal_prob < 1.0 - 1e-12
+        live = np.array(report.modal_prob) < 1.0 - 1e-12
         diffs = np.diff(report.modal_prob)
         assert (diffs[live[:-1]] > 0.0).all()
 
@@ -474,7 +474,7 @@ class TestElbo:
         model = random_latent_model(3, 4, rng)
         report = verify_elbo(model, model.prior)
         assert report.holds
-        assert (report.gaps >= -1e-9).all()
+        assert (np.array(report.gaps) >= -1e-9).all()
 
     def test_posterior_is_tight(self):
         rng = np.random.default_rng(6)
@@ -488,12 +488,72 @@ class TestElbo:
         q = np.array([0.98, 0.01, 0.01])
         report = verify_elbo(model, q)
         assert report.holds
-        assert report.gaps.max() > 1e-6
+        assert max(report.gaps) > 1e-6
 
     def test_rejects_non_positive_q(self):
         model = LatentTabularModel(prior=[0.5, 0.5], conditional=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             verify_elbo(model, np.array([1.0, 0.0]))
+
+
+# The ELBO check as it ran on numpy arrays, kept as the reference for the
+# loops over lists: the same formulas, with numpy's reductions in place of
+# sums over lists.
+
+
+def numpy_posterior(prior: np.ndarray, conditional: np.ndarray) -> np.ndarray:
+    """(Y, S) posterior over latent states for each output."""
+    joint = prior[:, None] * conditional  # (S, Y)
+    return (joint / joint.sum(axis=0, keepdims=True)).T
+
+
+def numpy_elbo_gaps(prior: np.ndarray, conditional: np.ndarray, q) -> np.ndarray:
+    """Per-output gap log p(y) - ELBO(q, y)."""
+    q = np.asarray(q, dtype=float)
+    n_latent, n_out = conditional.shape
+    if q.ndim == 1:
+        q = np.tile(q, (n_out, 1))
+    q = q / q.sum(axis=1, keepdims=True)
+    log_marginal = np.log(prior @ conditional)
+    log_cond = np.log(conditional)  # (S, Y)
+    reward_term = np.einsum("ys,sy->y", q, log_cond)
+    kl = (q * (np.log(q) - np.log(prior)[None, :])).sum(axis=1)
+    return log_marginal - (reward_term - kl)
+
+
+def test_elbo_loops_match_numpy_reference():
+    """On random models, with q the prior, the posterior or one random row
+    per output: the same posterior, the same verdicts, and every gap within
+    1e-15 of the numpy formulas (their sums run in another order)."""
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        model = random_latent_model(int(rng.integers(1, 6)), int(rng.integers(1, 7)), rng)
+        prior, conditional = np.array(model.prior), np.array(model.conditional)
+        posterior = numpy_posterior(prior, conditional)
+        assert model.posterior() == posterior.tolist()
+        per_output = rng.dirichlet(np.ones(len(prior)), size=conditional.shape[1])
+        for q in (prior, posterior, per_output):
+            report = verify_elbo(model, q.tolist())
+            reference = numpy_elbo_gaps(prior, conditional, q)
+            assert np.abs(np.array(report.gaps) - reference).max() <= 1e-15
+            assert report.holds == bool((reference >= -report.tol).all())
+            assert report.tight == bool((np.abs(reference) <= report.tol).all())
+
+
+def test_zero_conditional_entry_gives_an_infinite_gap():
+    # log p(y | s) = -inf for that entry: the bound holds there, but is not tight
+    model = LatentTabularModel([0.5, 0.5], [[1, 0], [0, 1]])
+    report = verify_elbo(model, model.prior)
+    assert report.gaps == [np.inf, np.inf]
+    assert report.holds and not report.tight
+    with np.errstate(divide="ignore"):  # numpy warns on log 0
+        reference = numpy_elbo_gaps(np.array(model.prior), np.array(model.conditional), model.prior)
+    assert reference.tolist() == report.gaps
+    # an output no latent state emits has no posterior, so it cannot be a q
+    model = LatentTabularModel([0.5, 0.5], [[1, 0], [1, 0]])
+    assert np.isnan(model.posterior()[1]).all()
+    with pytest.raises(ValueError):
+        verify_elbo(model, model.posterior())
 
 
 NAN, INF = float("nan"), float("inf")
@@ -516,6 +576,8 @@ def convergence(**flow):
         (lambda: TabularPolicy.from_probs([0.5, 0.7]), "pi0"),  # never renormalized
         (lambda: LatentTabularModel([NAN, 0.5], [[0.5, 0.5], [0.5, 0.5]]), "prior"),
         (lambda: LatentTabularModel([0.5, 0.5], [[NAN, 1.0], [0.5, 0.5]]), "conditional"),
+        (lambda: LatentTabularModel([0.5, 0.5], [[1.0]]), "conditional"),  # one row short
+        (lambda: LatentTabularModel([0.5, 0.5], [[0.5, 0.5], [1.0]]), "conditional"),  # ragged
         (lambda: collapse(mode="sampled", sample_count=0), "sample_count"),
         (lambda: collapse(target=NAN), "target"),
         (lambda: collapse(target=0.0), "target"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from math import isfinite
 from pathlib import Path
@@ -86,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy, imported later by the toy scorer and some simulate presets, never
+    # calls BLAS here, yet OpenBLAS would start a worker thread that spins idle
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     flags = {name: getattr(args, dest, None) for dest, name in FLAG_FIELDS.items()}
     overrides = {name: value for name, value in flags.items() if value is not None}
@@ -192,9 +196,13 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     matrices_all = []
     failures = []
 
+    cache_path = cfg.scorer.cache_path if isinstance(source, HttpScorer) else None
+    # a rerun that records no new reply leaves an existing cache file as it is
+    known = len(source.cache) if cache_path and Path(cache_path).exists() else -1
+
     def keep_replies():
-        if isinstance(source, HttpScorer) and cfg.scorer.cache_path:
-            source.cache.dump(cfg.scorer.cache_path)
+        if cache_path and len(source.cache) > known:
+            source.cache.dump(cache_path)
 
     for batch in batches:
         try:

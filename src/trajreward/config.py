@@ -13,8 +13,6 @@ from math import isfinite
 from pathlib import Path
 from typing import get_type_hints
 
-import yaml
-
 from .rewards import VARIANTS, CuriosityConfig
 from .scoring import check_http_settings, check_toy_settings
 from .simulate import PRESETS
@@ -142,6 +140,7 @@ def _merge_section(cls, data: dict, prefix: str = ""):
 
 def _parse_yaml(fh, path):
     """The YAML document in ``fh``; malformed YAML is a one-line ValueError."""
+    import yaml  # loaded here, so a run without a config file never loads it
     # libyaml builds the same data as the pure-Python loader, several times faster
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:

@@ -312,9 +312,6 @@ class HttpScorer(PerRequestSource):
         backoff: float = 0.1,
         cache: FileCacheScorer | None = None,
     ):
-        # loaded here, so a process that builds no HttpScorer never loads http.client and ssl
-        from http.client import HTTPConnection, HTTPException, HTTPSConnection
-
         check_http_settings(attempts, timeout, backoff)
         url = base_url or os.environ.get(SCORER_URL_ENV)
         if not url:
@@ -327,8 +324,7 @@ class HttpScorer(PerRequestSource):
         self.attempts = attempts
         self.backoff = backoff
         self.cache = cache if cache is not None else FileCacheScorer()
-        self._connection_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        self._retryable = (OSError, HTTPException)
+        self._https = parts.scheme == "https"
         self._netloc = parts.netloc
         self._path = parts.path.rstrip("/") + "/v1/score"
         self._idle: list = []  # idle keep-alive connections
@@ -339,6 +335,9 @@ class HttpScorer(PerRequestSource):
             return self.cache.score(request)
         except CacheMiss:
             pass
+        # loaded at the first miss, so a run its cache serves never loads http.client and ssl
+        from http.client import HTTPException
+
         payload = {"prefix": request.prefix, "continuation": request.continuation}
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
@@ -347,7 +346,7 @@ class HttpScorer(PerRequestSource):
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body)
-            except self._retryable as exc:
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 continue
             if status >= 500:
@@ -367,7 +366,9 @@ class HttpScorer(PerRequestSource):
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
-            conn = self._connection_class(self._netloc, timeout=self.timeout)
+            from http.client import HTTPConnection, HTTPSConnection
+            connection_class = HTTPSConnection if self._https else HTTPConnection
+            conn = connection_class(self._netloc, timeout=self.timeout)
         elif conn.sock is not None and select.select([conn.sock], [], [], 0.0)[0]:
             # An idle keep-alive socket with something to read was closed by
             # the server; closing it here makes request() open a fresh one.

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -990,10 +991,15 @@ class TestHttpCachePersistence:
         assert main(["reward", "--config", str(cfg_file), "--out", str(base / "first")]) == 0
         assert handler.received
         assert len(handler.received) == len(set(handler.received))  # each content once
-        assert (base / "http_cache.jsonl").exists()
+        cache = base / "http_cache.jsonl"
+        written, before = cache.read_bytes(), cache.stat()
         sent = len(handler.received)
         assert main(["reward", "--config", str(cfg_file), "--out", str(base / "replay")]) == 0
         assert len(handler.received) == sent
+        # nothing new was recorded, so the complete cache is not rewritten
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert cache.read_bytes() == written
         for name in ("rewards.jsonl", "matrices.jsonl", "summary.json"):
             assert (base / "first" / name).read_bytes() == (base / "replay" / name).read_bytes()
 
@@ -1435,6 +1441,60 @@ class TestShippedFixture:
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
         assert (analysis / "curves.csv").exists() and (analysis / "diversity.csv").exists()
 
+    def test_only_a_config_file_loads_yaml(self, fixtures_dir, tmp_path):
+        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
+        run = tmp_path / "run"
+        assert main(["reward", "--config", str(config), "--input", str(batch), "--out", str(run)]) == 0
+        commands = [
+            ["segment", "--input", str(batch), "--out", str(tmp_path / "segments")],
+            [
+                "analyze", "--rewards", str(run / "rewards.jsonl"), "--matrices",
+                str(run / "matrices.jsonl"), "--input", str(batch), "--out", str(tmp_path / "a"),
+            ],
+            ["simulate", "--preset", "convergence", "--out", str(tmp_path / "convergence")],
+            # reading a config file does need PyYAML, so the guard is not vacuous
+            ["segment", "--config", str(config), "--input", str(batch), "--out", str(tmp_path / "s")],
+        ]
+        code = (
+            "import json, sys\n"
+            "from trajreward import cli\n"
+            "seen = ['yaml' in sys.modules]\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen.append('yaml' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # after import, segment, analyze and simulate, then segment with --config
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+        reason="counts threads in /proc/self/task; OpenBLAS starts no worker on one CPU",
+    )
+    @pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
+    def test_reward_starts_no_idle_blas_thread(self, fixtures_dir, tmp_path, caller, threads):
+        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
+        argv = ["reward", "--config", str(config), "--input", str(batch), "--workers", "1",
+                "--out", str(tmp_path / "run")]
+        code = (
+            "import json, os, sys\n"
+            "from trajreward import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'numpy' in sys.modules  # the toy scorer loads it\n"
+            "threads = len(os.listdir('/proc/self/task'))\n"
+            "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], threads]))\n"
+        )
+        # not inherited from this process, where an in-process main() may have set it
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # main sets one BLAS thread unless the caller chose a number
+        assert json.loads(proc.stdout.splitlines()[-1]) == [caller or "1", threads]
+
     @pytest.mark.parametrize("last", ["sampled-collapse", "elbo"])
     def test_convergence_path_never_imports_numpy(self, tmp_path, last):
         convergence, collapse = tmp_path / "convergence", tmp_path / "collapse"
@@ -1506,14 +1566,21 @@ class TestShippedFixture:
             f"for argv in {commands!r}:\n"
             "    assert cli.main(argv) == 0, argv\n"
             "    seen.append(loaded())\n"
-            "# building an HttpScorer does need http.client, so that part is not vacuous\n"
-            "from trajreward.scoring import HttpScorer\n"
-            "HttpScorer(base_url='http://127.0.0.1:9')\n"
+            "from trajreward.errors import ServiceUnavailable\n"
+            "from trajreward.scoring import HttpScorer, ScoreRequest\n"
+            "scorer = HttpScorer(base_url='http://127.0.0.1:9', timeout=1.0, attempts=1)\n"
+            "seen.append(loaded())\n"
+            "# a cache miss does need http.client, so that part is not vacuous\n"
+            "try:\n"
+            "    scorer.score(ScoreRequest('p', 'c'))\n"
+            "except ServiceUnavailable:\n"
+            "    pass\n"
             "seen.append(loaded())\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # import and five one-worker commands, then two workers, then an HttpScorer
-        expected = [[False, False, False]] * 6 + [[False, False, True], [True, True, True]]
+        # import and five one-worker commands, then two workers, then building
+        # an HttpScorer, then its first cache miss (against a closed port)
+        expected = [[False, False, False]] * 6 + [[False, False, True]] * 2 + [[True, True, True]]
         assert json.loads(proc.stdout.splitlines()[-1]) == expected

@@ -152,6 +152,12 @@ def _build_scorer(cfg: RunConfig):
     )
 
 
+def _close_scorer(source) -> None:
+    """Give an http scorer's idle sockets back to the service."""
+    if isinstance(source, HttpScorer):
+        source.close()
+
+
 def cmd_segment(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     records = [
@@ -177,11 +183,14 @@ def cmd_score(cfg: RunConfig, args) -> int:
     source = _build_scorer(cfg)
     cache = FileCacheScorer()
     n = 0
-    for batch in _load_batches(cfg):
-        scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
-        for req, resp in scores.items():
-            cache.record(req, resp)
-        n += len(scores)
+    try:
+        for batch in _load_batches(cfg):
+            scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
+            for req, resp in scores.items():
+                cache.record(req, resp)
+            n += len(scores)
+    finally:
+        _close_scorer(source)
     cache.dump(out / "cache.jsonl")
     print(f"cached {n} scores ({len(cache)} unique keys) -> {out / 'cache.jsonl'}")
     return EXIT_OK
@@ -204,51 +213,54 @@ def cmd_reward(cfg: RunConfig, args) -> int:
         if cache_path and len(source.cache) > known:
             source.cache.dump(cache_path)
 
-    for batch in batches:
-        try:
-            scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
-            matrices = batch_distance_matrices(batch, scores)
-            curiosities = None
-            if cfg.reward.curiosity:
-                curiosities = {
-                    t.traj_id: curiosity_reward(t, scores, cfg.reward.curiosity_config())
-                    for t in batch.trajectories
-                }
-            report = assemble_rewards(
-                batch,
-                matrices,
-                variant=cfg.reward.variant,
-                curiosity_weight=cfg.reward.curiosity_weight,
-                curiosities=curiosities,
+    try:
+        for batch in batches:
+            try:
+                scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
+                matrices = batch_distance_matrices(batch, scores)
+                curiosities = None
+                if cfg.reward.curiosity:
+                    curiosities = {
+                        t.traj_id: curiosity_reward(t, scores, cfg.reward.curiosity_config())
+                        for t in batch.trajectories
+                    }
+                report = assemble_rewards(
+                    batch,
+                    matrices,
+                    variant=cfg.reward.variant,
+                    curiosity_weight=cfg.reward.curiosity_weight,
+                    curiosities=curiosities,
+                )
+            except ScorerError as exc:
+                failures.append(
+                    {
+                        "prompt_id": batch.prompt_id,
+                        "error": type(exc).__name__,
+                        "message": str(exc),
+                        "request_index": getattr(exc, "request_index", None),
+                    }
+                )
+                continue
+            except BaseException:  # keep the replies received so far, then report what stopped us
+                with contextlib.suppress(OSError):
+                    keep_replies()
+                raise
+            reward_records.extend(
+                {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
+                for t, r in zip(batch.trajectories, report.rewards)
             )
-        except ScorerError as exc:
-            failures.append(
+            summary_rows.append(
                 {
                     "prompt_id": batch.prompt_id,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                    "request_index": getattr(exc, "request_index", None),
+                    "N": report.num_trajectories,
+                    "K": report.num_groups,
+                    "group_sizes": [g.size for g in report.groups],
+                    "skip": report.skip,
                 }
             )
-            continue
-        except BaseException:  # keep the replies received so far, then report what stopped us
-            with contextlib.suppress(OSError):
-                keep_replies()
-            raise
-        reward_records.extend(
-            {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
-            for t, r in zip(batch.trajectories, report.rewards)
-        )
-        summary_rows.append(
-            {
-                "prompt_id": batch.prompt_id,
-                "N": report.num_trajectories,
-                "K": report.num_groups,
-                "group_sizes": [g.size for g in report.groups],
-                "skip": report.skip,
-            }
-        )
-        matrices_all.extend(matrices[t.traj_id] for t in batch.trajectories)
+            matrices_all.extend(matrices[t.traj_id] for t in batch.trajectories)
+    finally:
+        _close_scorer(source)
 
     write_jsonl(out / "rewards.jsonl", reward_records)
     write_matrices(matrices_all, out / "matrices.jsonl")

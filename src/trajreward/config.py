@@ -19,7 +19,7 @@ from .simulate import PRESETS
 from .trajectory import SegmentationRules, is_kind, kind_name, write_json
 
 
-# each worker is one scoring thread and, for http, one keep-alive connection
+# each worker is one scoring thread and, for http, at most one keep-alive connection
 MAX_WORKERS = 256
 
 

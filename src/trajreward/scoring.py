@@ -300,8 +300,8 @@ class HttpScorer(PerRequestSource):
     Transient failures are retried with exponential backoff, ``attempts``
     tries in all (``scorer.attempts``, default 3). Every reply is recorded
     into ``cache`` so a rerun against the same cache never re-contacts the
-    service. Idle keep-alive connections wait in a shared pool, so it never
-    holds more connections than there were concurrent callers.
+    service. Requests go out as HTTP/1.1 on keep-alive sockets from a
+    shared pool; ``close`` closes the idle ones.
     """
 
     def __init__(
@@ -319,25 +319,34 @@ class HttpScorer(PerRequestSource):
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"scorer URL must look like http://host:port, got {url!r}")
+        host = parts.netloc.rpartition("@")[2]
+        target = parts.path.rstrip("/") + "/v1/score"
+        if any(not " " < c <= "~" for c in host + target):
+            raise ValueError(f"scorer URL must be printable ASCII without spaces, got {url!r}")
         self.base_url = url.rstrip("/")
         self.timeout = timeout
         self.attempts = attempts
         self.backoff = backoff
         self.cache = cache if cache is not None else FileCacheScorer()
-        self._https = parts.scheme == "https"
-        self._netloc = parts.netloc
-        self._path = parts.path.rstrip("/") + "/v1/score"
-        self._idle: list = []  # idle keep-alive connections
-        self._idle_lock = threading.Lock()
+        https = parts.scheme == "https"
+        self._address = (parts.hostname, parts.port or (443 if https else 80))
+        self._tls = None  # the TLS context, made at the first https connection
+        self._https = https
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+        ).encode("ascii")
+        self._pool = threading.Condition()  # guards the four fields below
+        self._idle: list[_Connection] = []
+        self._open = 0  # sockets open, idle or in use
+        self._answered = 0  # open sockets that have answered a request
+        self._cap: int | None = None  # most sockets to open; None until one goes unanswered
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         try:
             return self.cache.score(request)
         except CacheMiss:
             pass
-        # loaded at the first miss, so a run its cache serves never loads http.client and ssl
-        from http.client import HTTPException
-
         payload = {"prefix": request.prefix, "continuation": request.continuation}
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
@@ -346,7 +355,7 @@ class HttpScorer(PerRequestSource):
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body)
-            except (OSError, HTTPException) as exc:
+            except OSError as exc:
                 last_error = exc
                 continue
             if status >= 500:
@@ -362,34 +371,186 @@ class HttpScorer(PerRequestSource):
         )
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST ``body`` on an idle pooled connection, or on a new one."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            from http.client import HTTPConnection, HTTPSConnection
-            connection_class = HTTPSConnection if self._https else HTTPConnection
-            conn = connection_class(self._netloc, timeout=self.timeout)
-        elif conn.sock is not None and select.select([conn.sock], [], [], 0.0)[0]:
-            # An idle keep-alive socket with something to read was closed by
-            # the server; closing it here makes request() open a fresh one.
+        """POST ``body`` and return the reply's status and body.
+
+        A socket the service leaves unanswered past ``timeout`` while others
+        have answered was never accepted (a service that caps connections
+        holds it in its listen backlog): the pool opens no more sockets than
+        have answered, and the request goes again on one of them.
+        """
+        request = self._head % len(body) + body
+        while True:
+            conn = self._checkout()
+            try:
+                if conn is None:
+                    conn = self._connect()
+                conn.sock.sendall(request)
+                status, data, keep = _read_reply(conn.rfile)
+            except BaseException as exc:
+                with self._pool:
+                    self._drop(conn)
+                    if isinstance(exc, TimeoutError) and (conn is None or not conn.answered):
+                        self._cap = max(1, self._answered)
+                        if self._answered:
+                            continue
+                raise
+            with self._pool:
+                if not conn.answered:
+                    conn.answered = True
+                    self._answered += 1
+                if keep:
+                    self._idle.append(conn)
+                    self._pool.notify()
+                else:
+                    self._drop(conn)
+            return status, data
+
+    def _checkout(self) -> _Connection | None:
+        """An idle socket, else None with a place taken for a new one.
+
+        A caller opens a socket only when none is idle, so the pool never
+        holds more sockets than there were concurrent callers; past the cap,
+        it waits for a socket to come back.
+        """
+        with self._pool:
+            while True:
+                while self._idle:
+                    conn = self._idle.pop()
+                    if not select.select([conn.sock], [], [], 0.0)[0]:
+                        return conn
+                    self._drop(conn)  # readable while idle: the service closed it
+                if self._cap is None or self._open < self._cap:
+                    self._open += 1
+                    return None
+                self._pool.wait()
+
+    def _drop(self, conn: _Connection | None) -> None:
+        """Close ``conn`` (None: a place taken by a socket that never opened); holds ``_pool``."""
+        if conn is not None:
             conn.close()
+            self._answered -= conn.answered
+        self._open -= 1
+        self._pool.notify()
+
+    def _connect(self) -> _Connection:
+        # loaded at the first connection, so a run its cache serves never loads socket or ssl
+        import socket
+
+        if self._https and self._tls is None:
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
-            reply = conn.getresponse()
-            data = reply.read()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        with self._idle_lock:
-            self._idle.append(conn)
-        return reply.status, data
+        return _Connection(sock)
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens new ones."""
-        with self._idle_lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        """Close the idle sockets; a later request opens new ones."""
+        with self._pool:
+            while self._idle:
+                self._drop(self._idle.pop())
+
+
+class _Connection:
+    """A keep-alive socket, a buffered reader on it, and whether it has answered."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+        self.answered = False
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+# http.client's limits on a reply's lines and header count
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """Read one HTTP/1.x reply: its status, its body, and whether the socket
+    may carry the next request.
+
+    The body is framed by ``Transfer-Encoding: chunked``, ``Content-Length``
+    or the end of the stream. A reply that breaks the framing is an OSError,
+    retried as a broken connection is.
+    """
+    while True:
+        line = _read_line(rfile)
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4] in b" \r\n"):
+            raise OSError(f"bad status line {line[:80]!r}")
+        headers = _read_headers(rfile)
+        status = int(code)
+        if status >= 200:  # a 1xx reply, such as 100 Continue, comes before the real one
+            break
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _read_chunked(rfile)
+    elif (length := headers.get(b"content-length")) is not None:
+        if not length.isdigit():
+            raise OSError(f"bad Content-Length {length[:80]!r}")
+        body = _read_exact(rfile, int(length))
+    else:
+        return status, rfile.read(), False  # the body ends where the service closes the socket
+    connection = headers.get(b"connection", b"").lower()
+    keep = b"close" not in connection and (version == b"HTTP/1.1" or b"keep-alive" in connection)
+    return status, body, keep
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise OSError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise OSError("reply cut short")
+    return line
+
+
+def _read_headers(rfile) -> dict[bytes, bytes]:
+    """Header (or trailer) lines up to the blank line, by lower-cased name."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    raise OSError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _read_exact(rfile, size: int) -> bytes:
+    data = rfile.read(size)
+    if len(data) < size:
+        raise OSError(f"reply cut short: {len(data)} of {size} body bytes")
+    return data
+
+
+def _read_chunked(rfile) -> bytes:
+    chunks = []
+    while True:
+        digits = _read_line(rfile).split(b";", 1)[0].strip()  # drop chunk extensions
+        if not digits or digits.strip(_HEX_DIGITS):
+            raise OSError(f"bad chunk size {digits[:80]!r}")
+        size = int(digits, 16)
+        if not size:
+            break
+        chunks.append(_read_exact(rfile, size))
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
+            raise OSError("chunk longer than its size")
+    _read_headers(rfile)  # the trailer
+    return b"".join(chunks)
 
 
 def _parse_score_payload(data: bytes) -> ScoreResponse:

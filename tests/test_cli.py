@@ -9,8 +9,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import yaml
@@ -967,6 +968,78 @@ def scoring_service():
     thread.join(timeout=5)
 
 
+class _CappedServer(ThreadingHTTPServer):
+    """Serves at most ``cap`` connections at a time. Later ones wait in the
+    listen backlog unanswered, as behind a service's connection limit."""
+
+    daemon_threads = True
+
+    def __init__(self, handler, cap):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.slots = threading.Semaphore(cap)
+
+    def process_request(self, request, client_address):
+        self.slots.acquire()
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.slots.release()
+
+
+def test_more_workers_than_the_service_takes_connections(planted_setup):
+    # keep-alive replies, sent without Nagle's delay; an idle connection is
+    # dropped after 10 s, so a client that never closes its sockets cannot hang the test
+    attrs = {"received": [], "protocol_version": "HTTP/1.1", "timeout": 10}
+    attrs["disable_nagle_algorithm"] = True
+    server = _CappedServer(type("Handler", (_CountingScoreHandler,), attrs), cap=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    cfg_path, base = planted_setup
+    cfg = yaml.safe_load(cfg_path.read_text())
+    # each prompt batch starts four threads on an idle pool of at most two sockets
+    records = read_lines(base / "batch.jsonl")
+    cfg["input"] = str(base / "three_prompts.jsonl")
+    write_jsonl(cfg["input"], [
+        dict(rec, prompt_id=f"p{i}", prompt_text=f"q{i}\n\n") for i in range(3) for rec in records
+    ])
+    elapsed = {}
+    try:
+        for command, workers in (("reward", 1), ("reward", 4), ("score", 2)):
+            cfg["workers"] = workers
+            cfg["scorer"] = {
+                "source": "http",
+                "base_url": f"http://127.0.0.1:{server.server_address[1]}",
+                "cache_path": str(base / f"cache-{command}{workers}.jsonl"),
+                "timeout": 2.0,
+                "backoff": 0.0,
+            }
+            cfg_file = base / f"http{workers}.yaml"
+            cfg_file.write_text(yaml.safe_dump(cfg))
+            start = time.perf_counter()
+            assert main([command, "--config", str(cfg_file), "--out", str(base / str(workers))]) == 0
+            elapsed[workers] = time.perf_counter() - start
+            # the run closed its sockets, so the service has both slots free again
+            held = [server.slots.acquire(timeout=5) for _ in range(2)]
+            for taken in held:
+                if taken:
+                    server.slots.release()
+            assert held == [True, True]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    # the sockets the service left unanswered cost one timeout, not one per batch
+    assert elapsed[4] < 4.0, elapsed
+    for name in ("rewards.jsonl", "matrices.jsonl", "summary.json"):
+        assert (base / "1" / name).read_bytes() == (base / "4" / name).read_bytes()
+    cache = (base / "cache-reward1.jsonl").read_bytes()
+    assert (base / "cache-reward4.jsonl").read_bytes() == cache
+    assert (base / "2" / "cache.jsonl").read_bytes() == cache
+
+
 class TestHttpCachePersistence:
     def http_config(self, planted_setup, url, records=None):
         cfg_path, base = planted_setup
@@ -1533,7 +1606,7 @@ class TestShippedFixture:
         assert json.loads((collapse / "assertions.json").read_text())["monotone"] is True
         assert (collapse / "series.jsonl").exists()
 
-    def test_only_an_http_scorer_loads_http_client(self, fixtures_dir, tmp_path):
+    def test_only_an_http_miss_loads_socket_and_only_https_loads_ssl(self, fixtures_dir, tmp_path):
         config = fixtures_dir / "planted_config.yaml"
         batch = fixtures_dir / "planted_batch.jsonl"
         scored = tmp_path / "scored"
@@ -1561,26 +1634,31 @@ class TestShippedFixture:
             "import json, sys\n"
             "from trajreward import cli\n"
             "def loaded():\n"
-            "    return [m in sys.modules for m in ('http.client', 'ssl', 'concurrent.futures')]\n"
+            "    names = ('http.client', 'email', 'ssl', 'socket', 'concurrent.futures')\n"
+            "    return [m in sys.modules for m in names]\n"
             "seen = [loaded()]\n"
             f"for argv in {commands!r}:\n"
             "    assert cli.main(argv) == 0, argv\n"
             "    seen.append(loaded())\n"
             "from trajreward.errors import ServiceUnavailable\n"
             "from trajreward.scoring import HttpScorer, ScoreRequest\n"
-            "scorer = HttpScorer(base_url='http://127.0.0.1:9', timeout=1.0, attempts=1)\n"
-            "seen.append(loaded())\n"
-            "# a cache miss does need http.client, so that part is not vacuous\n"
-            "try:\n"
-            "    scorer.score(ScoreRequest('p', 'c'))\n"
-            "except ServiceUnavailable:\n"
-            "    pass\n"
-            "seen.append(loaded())\n"
+            "for url in ('http://127.0.0.1:9', 'https://127.0.0.1:9'):\n"
+            "    scorer = HttpScorer(base_url=url, timeout=1.0, attempts=1)\n"
+            "    seen.append(loaded())\n"
+            "    # a cache miss does open a socket, so that part is not vacuous\n"
+            "    try:\n"
+            "        scorer.score(ScoreRequest('p', 'c'))\n"
+            "    except ServiceUnavailable:\n"
+            "        pass\n"
+            "    seen.append(loaded())\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         # import and five one-worker commands, then two workers, then building
-        # an HttpScorer, then its first cache miss (against a closed port)
-        expected = [[False, False, False]] * 6 + [[False, False, True]] * 2 + [[True, True, True]]
+        # an http scorer and its first cache miss (against a closed port), then
+        # the same for an https scorer
+        idle, pooled = [False] * 5, [False] * 4 + [True]
+        http_miss, https_miss = [False, False, False, True, True], [False, False, True, True, True]
+        expected = [idle] * 6 + [pooled] * 2 + [http_miss] * 2 + [https_miss]
         assert json.loads(proc.stdout.splitlines()[-1]) == expected

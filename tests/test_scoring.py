@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -564,3 +566,169 @@ class TestHttpScorer:
         monkeypatch.delenv("TRAJREWARD_SCORER_URL", raising=False)
         with pytest.raises(ValueError):
             HttpScorer()
+
+    @pytest.mark.parametrize(
+        "url", ["ftp://h:1", "http:///v1", "http://h:99999", "http://h:port", "http://h/a b", "http://h/é"]
+    )
+    def test_bad_url_rejected_when_built(self, url):
+        with pytest.raises(ValueError):
+            HttpScorer(base_url=url)
+
+
+class _RawServer:
+    """Answers each request with the next scripted reply's raw bytes, the
+    last one repeating. A reply ``(data, True)`` closes its connection after
+    the bytes. With ``read_requests`` false, a connection's first read, of
+    whatever the client sends, stands for its request."""
+
+    def __init__(self, replies, read_requests=True):
+        self.replies = [r if isinstance(r, tuple) else (r, False) for r in replies]
+        self.read_requests = read_requests
+        self.requests = 0
+        self.connections = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn, conn.makefile("rb") as rfile:
+            while self._read_request(conn, rfile):
+                data, close = self.replies[min(self.requests, len(self.replies) - 1)]
+                self.requests += 1
+                conn.sendall(data)
+                if close:
+                    return
+
+    def _read_request(self, conn, rfile) -> bool:
+        if not self.read_requests:
+            return bool(conn.recv(65536))
+        if not rfile.readline():
+            return False
+        length = 0
+        while (line := rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        return len(rfile.read(length)) == length
+
+    def stop(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+
+
+PAYLOAD = b'{"token_logprobs": [-0.5, -1.5]}'
+
+
+def _reply(head: bytes, body: bytes = PAYLOAD) -> bytes:
+    return head.replace(b"\n", b"\r\n") + b"\r\n" + body
+
+
+OK = _reply(b"HTTP/1.1 200 OK\nContent-Length: %d\n" % len(PAYLOAD))
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def start(*replies, read_requests=True):
+        servers.append(_RawServer(replies, read_requests))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+class TestReplyFraming:
+    """Replies framed every way HTTP/1.x allows give the same scores; a
+    broken reply is retried, then is ServiceUnavailable."""
+
+    def score_twice(self, server):
+        scorer = HttpScorer(base_url=server.url, backoff=0.0, attempts=1, timeout=5.0)
+        for i in range(2):
+            assert scorer.score(ScoreRequest("p", f"c{i}")).token_logprobs == (-0.5, -1.5)
+        scorer.close()
+        assert server.requests == 2
+        return server.connections
+
+    def test_content_length_keeps_the_socket(self, raw_server):
+        assert self.score_twice(raw_server(OK)) == 1
+
+    def test_chunked_body_with_trailer(self, raw_server):
+        head, tail = PAYLOAD[:9], PAYLOAD[9:]
+        body = b"%x;ext=1\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Digest: none\r\n\r\n" % (
+            len(head), head, len(tail), tail,
+        )
+        reply = _reply(b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", body)
+        assert self.score_twice(raw_server(reply)) == 1
+
+    def test_http_1_0_body_ends_at_eof_and_the_socket_is_not_reused(self, raw_server):
+        reply = _reply(b"HTTP/1.0 200 OK\nContent-Type: application/json\n")
+        assert self.score_twice(raw_server((reply, True))) == 2
+
+    def test_connection_close_is_not_reused(self, raw_server):
+        # the server would take a second request on the socket; the client must not send one
+        reply = _reply(b"HTTP/1.1 200 OK\nConnection: close\nContent-Length: %d\n" % len(PAYLOAD))
+        assert self.score_twice(raw_server(reply)) == 2
+
+    def test_http_1_0_keep_alive_is_reused(self, raw_server):
+        head = b"HTTP/1.0 200 OK\nConnection: keep-alive\nContent-Length: %d\n" % len(PAYLOAD)
+        assert self.score_twice(raw_server(_reply(head))) == 1
+
+    def test_100_continue_before_the_reply(self, raw_server):
+        assert self.score_twice(raw_server(_reply(b"HTTP/1.1 100 Continue\n", b"") + OK)) == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            _reply(b"HTTP/1.1 200 OK\nContent-Length: 100\n"),  # body cut short
+            b"garbage\r\n\r\n",
+            _reply(b"HTTP/1.1 200 OK\nX-Long: %s\nContent-Length: %d\n" % (b"a" * 65536, len(PAYLOAD))),
+            _reply(b"HTTP/1.1 200 OK\n" + b"X-Many: 1\n" * 101 + b"Content-Length: %d\n" % len(PAYLOAD)),
+            _reply(b"HTTP/1.1 200 OK\nContent-Length: -1\n"),
+            _reply(b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"zz\r\n" + PAYLOAD),
+        ],
+        ids=["cut-short", "garbage-status", "long-header", "101-headers", "bad-length", "bad-chunk"],
+    )
+    def test_broken_reply_is_retried_then_service_unavailable(self, raw_server, reply):
+        server = raw_server((reply, True))
+        scorer = HttpScorer(base_url=server.url, backoff=0.0, attempts=3, timeout=5.0)
+        with pytest.raises(ServiceUnavailable, match="after 3 attempts"):
+            scorer.score(ScoreRequest("p", "c"))
+        assert server.requests == 3
+
+    def test_pool_counts_hold_under_many_threads(self, raw_server):
+        scorer = HttpScorer(base_url=raw_server(OK).url, backoff=0.0, timeout=5.0)
+        reqs = [ScoreRequest(f"p{i % 50}", f"c{i}") for i in range(500)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = score_batch(reqs, scorer, parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {r.token_logprobs for r in out.values()} == {(-0.5, -1.5)}
+        assert 1 <= len(scorer._idle) <= 8
+        scorer.close()
+        assert (scorer._open, scorer._answered, scorer._idle) == (0, 0, [])
+
+    def test_https_against_plain_http_fails_without_waiting(self, raw_server):
+        server = raw_server(
+            (_reply(b"HTTP/1.1 400 Bad Request\nContent-Length: 0\n", b""), True),
+            read_requests=False,
+        )
+        url = server.url.replace("http://", "https://")
+        scorer = HttpScorer(base_url=url, backoff=0.0, attempts=2, timeout=5.0)
+        start = time.perf_counter()
+        with pytest.raises(ServiceUnavailable, match="after 2 attempts"):
+            scorer.score(ScoreRequest("p", "c"))
+        assert time.perf_counter() - start < 2.0
+        assert server.connections == 2

@@ -332,15 +332,15 @@ class HttpScorer(PerRequestSource):
         self._address = (parts.hostname, parts.port or (443 if https else 80))
         self._tls = None  # the TLS context, made at the first https connection
         self._https = https
-        self._head = (
+        self._head = (  # the request up to its Content-Length value
             f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
-            "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
         ).encode("ascii")
         self._pool = threading.Condition()  # guards the four fields below
         self._idle: list[_Connection] = []
         self._open = 0  # sockets open, idle or in use
         self._answered = 0  # open sockets that have answered a request
-        self._cap: int | None = None  # most sockets to open; None until one goes unanswered
+        self._cap: int | None = None  # most sockets to open; see _post
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         try:
@@ -373,12 +373,14 @@ class HttpScorer(PerRequestSource):
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST ``body`` and return the reply's status and body.
 
-        A socket the service leaves unanswered past ``timeout`` while others
-        have answered was never accepted (a service that caps connections
-        holds it in its listen backlog): the pool opens no more sockets than
-        have answered, and the request goes again on one of them.
+        A fresh socket the service leaves unanswered past ``timeout`` while
+        others have answered was never accepted (a service that caps
+        connections holds it in its listen backlog): the pool opens no more
+        sockets than have answered, and the request goes again on one of
+        them. While none has answered, a timeout says only that the service
+        is slow, and it is retried as any broken connection is.
         """
-        request = self._head % len(body) + body
+        request = b"%b%d\r\n\r\n%b" % (self._head, len(body), body)
         while True:
             conn = self._checkout()
             try:
@@ -389,10 +391,9 @@ class HttpScorer(PerRequestSource):
             except BaseException as exc:
                 with self._pool:
                     self._drop(conn)
-                    if isinstance(exc, TimeoutError) and (conn is None or not conn.answered):
-                        self._cap = max(1, self._answered)
-                        if self._answered:
-                            continue
+                    if isinstance(exc, TimeoutError) and self._answered and not (conn and conn.answered):
+                        self._cap = self._answered
+                        continue
                 raise
             with self._pool:
                 if not conn.answered:

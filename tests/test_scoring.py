@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -428,6 +429,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
     script = []  # list of (status, body-or-None); last entry repeats
     calls = 0
     connections = 0
+    base_path = ""  # the scorer URL's path, before /v1/score
 
     def setup(self):
         super().setup()
@@ -439,7 +441,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         idx = min(cls.calls, len(cls.script) - 1)
         status, body = cls.script[idx]
         cls.calls += 1
-        if self.path != "/v1/score":
+        if self.path != cls.base_path + "/v1/score":
             status, body = 404, {}
         payload = json.dumps(body or {}).encode()
         self.send_response(status)
@@ -460,8 +462,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 def http_server():
     servers = []
 
-    def start(script, keep_alive=False):
-        attrs = {"script": script, "calls": 0, "connections": 0}
+    def start(script, keep_alive=False, base_path=""):
+        attrs = {"script": script, "calls": 0, "connections": 0, "base_path": base_path}
         if keep_alive:
             attrs["protocol_version"] = "HTTP/1.1"
         handler = type("Handler", (_ScriptedHandler,), attrs)
@@ -470,7 +472,7 @@ def http_server():
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}", handler
+        return f"http://127.0.0.1:{server.server_address[1]}{base_path}", handler
 
     yield start
     for server in servers:
@@ -562,6 +564,13 @@ class TestHttpScorer:
         scorer = HttpScorer(backoff=0.0)
         assert scorer.score(ScoreRequest("p", "c")).token_logprobs == (-1.0,)
 
+    @pytest.mark.parametrize("base_path", ["/models/a%2Fb", "/%25d/%s%%"])
+    def test_percent_encoded_url_path_sent_unchanged(self, http_server, base_path):
+        url, handler = http_server([(200, {"token_logprobs": [-1.0]})], base_path=base_path)
+        scorer = HttpScorer(base_url=url + "/", backoff=0.0, attempts=1)
+        assert scorer.score(ScoreRequest("p", "c")).token_logprobs == (-1.0,)
+        assert handler.calls == 1
+
     def test_missing_url_rejected(self, monkeypatch):
         monkeypatch.delenv("TRAJREWARD_SCORER_URL", raising=False)
         with pytest.raises(ValueError):
@@ -579,11 +588,13 @@ class _RawServer:
     """Answers each request with the next scripted reply's raw bytes, the
     last one repeating. A reply ``(data, True)`` closes its connection after
     the bytes. With ``read_requests`` false, a connection's first read, of
-    whatever the client sends, stands for its request."""
+    whatever the client sends, stands for its request. ``delays`` are the
+    seconds to wait before each reply, the last one repeating."""
 
-    def __init__(self, replies, read_requests=True):
+    def __init__(self, replies, read_requests=True, delays=(0.0,)):
         self.replies = [r if isinstance(r, tuple) else (r, False) for r in replies]
         self.read_requests = read_requests
+        self.delays = delays
         self.requests = 0
         self.connections = 0
         self.listener = socket.create_server(("127.0.0.1", 0))
@@ -600,10 +611,12 @@ class _RawServer:
             threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
 
     def _serve(self, conn):
-        with conn, conn.makefile("rb") as rfile:
+        # a client that stopped waiting may have closed the socket before the reply
+        with conn, conn.makefile("rb") as rfile, contextlib.suppress(OSError):
             while self._read_request(conn, rfile):
-                data, close = self.replies[min(self.requests, len(self.replies) - 1)]
-                self.requests += 1
+                n, self.requests = self.requests, self.requests + 1
+                data, close = self.replies[min(n, len(self.replies) - 1)]
+                time.sleep(self.delays[min(n, len(self.delays) - 1)])
                 conn.sendall(data)
                 if close:
                     return
@@ -639,8 +652,8 @@ OK = _reply(b"HTTP/1.1 200 OK\nContent-Length: %d\n" % len(PAYLOAD))
 def raw_server():
     servers = []
 
-    def start(*replies, read_requests=True):
-        servers.append(_RawServer(replies, read_requests))
+    def start(*replies, read_requests=True, delays=(0.0,)):
+        servers.append(_RawServer(replies, read_requests, delays))
         return servers[-1]
 
     yield start
@@ -719,6 +732,18 @@ class TestReplyFraming:
         assert 1 <= len(scorer._idle) <= 8
         scorer.close()
         assert (scorer._open, scorer._answered, scorer._idle) == (0, 0, [])
+
+    def test_a_slow_first_reply_does_not_cap_the_pool(self, raw_server):
+        # the first reply comes after the timeout, while no socket has
+        # answered: that is a slow service, not a connection limit
+        server = raw_server(OK, delays=(1.5, 0.05))
+        scorer = HttpScorer(base_url=server.url, backoff=0.0, attempts=2, timeout=0.5)
+        assert scorer.score(ScoreRequest("p", "c")).token_logprobs == (-0.5, -1.5)
+        reqs = [ScoreRequest(f"p{i}", "c") for i in range(8)]
+        score_batch(reqs, scorer, parallelism=4)
+        assert scorer._cap is None
+        assert len(scorer._idle) > 1
+        scorer.close()
 
     def test_https_against_plain_http_fails_without_waiting(self, raw_server):
         server = raw_server(

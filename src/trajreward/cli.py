@@ -19,7 +19,6 @@ from math import isfinite
 from pathlib import Path
 from typing import get_type_hints
 
-from . import analysis
 from .config import MAX_WORKERS, RunConfig, load_config
 from .distance import (
     batch_distance_matrices,
@@ -216,21 +215,7 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     try:
         for batch in batches:
             try:
-                scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
-                matrices = batch_distance_matrices(batch, scores)
-                curiosities = None
-                if cfg.reward.curiosity:
-                    curiosities = {
-                        t.traj_id: curiosity_reward(t, scores, cfg.reward.curiosity_config())
-                        for t in batch.trajectories
-                    }
-                report = assemble_rewards(
-                    batch,
-                    matrices,
-                    variant=cfg.reward.variant,
-                    curiosity_weight=cfg.reward.curiosity_weight,
-                    curiosities=curiosities,
-                )
+                records, row, matrices = _reward_batch(cfg, batch, source)
             except ScorerError as exc:
                 failures.append(
                     {
@@ -245,20 +230,9 @@ def cmd_reward(cfg: RunConfig, args) -> int:
                 with contextlib.suppress(OSError):
                     keep_replies()
                 raise
-            reward_records.extend(
-                {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
-                for t, r in zip(batch.trajectories, report.rewards)
-            )
-            summary_rows.append(
-                {
-                    "prompt_id": batch.prompt_id,
-                    "N": report.num_trajectories,
-                    "K": report.num_groups,
-                    "group_sizes": [g.size for g in report.groups],
-                    "skip": report.skip,
-                }
-            )
-            matrices_all.extend(matrices[t.traj_id] for t in batch.trajectories)
+            reward_records.extend(records)
+            summary_rows.append(row)
+            matrices_all.extend(matrices)
     finally:
         _close_scorer(source)
 
@@ -280,6 +254,41 @@ def cmd_reward(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _reward_batch(cfg: RunConfig, batch, source) -> tuple[list[dict], dict, list]:
+    """One prompt batch's reward records, summary row and distance matrices.
+
+    The batch's scores live only in this call, so a run holds one batch's
+    scores at a time.
+    """
+    scores = score_plan(batch, source, cfg.workers, cfg.reward.curiosity)
+    matrices = batch_distance_matrices(batch, scores)
+    curiosities = None
+    if cfg.reward.curiosity:
+        curiosities = {
+            t.traj_id: curiosity_reward(t, scores, cfg.reward.curiosity_config())
+            for t in batch.trajectories
+        }
+    report = assemble_rewards(
+        batch,
+        matrices,
+        variant=cfg.reward.variant,
+        curiosity_weight=cfg.reward.curiosity_weight,
+        curiosities=curiosities,
+    )
+    records = [
+        {**vars(r), "prompt_id": batch.prompt_id, "correct": t.correct}
+        for t, r in zip(batch.trajectories, report.rewards)
+    ]
+    row = {
+        "prompt_id": batch.prompt_id,
+        "N": report.num_trajectories,
+        "K": report.num_groups,
+        "group_sizes": [g.size for g in report.groups],
+        "skip": report.skip,
+    }
+    return records, row, [matrices[t.traj_id] for t in batch.trajectories]
+
+
 # the kind of every field of a rewards.jsonl line; ``correct`` is checked by correct_label
 REWARD_KINDS = {**get_type_hints(TrajectoryReward), "prompt_id": str, "correct": None}
 
@@ -297,6 +306,8 @@ def _labelled_features(rec: dict) -> tuple[TrajectoryFeatures, object]:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
+    from . import analysis  # csv and the statistics load only for analyze
+
     out = _out_dir(cfg)
     rewards_path = getattr(args, "rewards", None)
     matrices_path = getattr(args, "matrices", None)

@@ -237,15 +237,24 @@ class FileCacheScorer(PerRequestSource):
         return cls(dict(read_jsonl(path, fields, _cache_entry, optional={})))
 
     def record(self, request: ScoreRequest, response: ScoreResponse) -> None:
+        self.store(_content_key(request), response)
+
+    def store(self, key: str, response: ScoreResponse) -> None:
+        """Record ``response`` under a request's content key."""
         with self._lock:
-            self._entries[_content_key(request)] = response.token_logprobs
+            self._entries[key] = response.token_logprobs
+
+    def lookup(self, key: str) -> ScoreResponse | None:
+        """The response recorded under a request's content key, or None."""
+        logprobs = self._entries.get(key)
+        return None if logprobs is None else ScoreResponse(logprobs)
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         key = _content_key(request)
-        logprobs = self._entries.get(key)
-        if logprobs is None:
+        response = self.lookup(key)
+        if response is None:
             raise CacheMiss(f"no cached score (key {key}) for {request.continuation[:40]!r}")
-        return ScoreResponse(logprobs)
+        return response
 
     def dump(self, path) -> None:
         """Write every entry sorted by key, replacing ``path`` atomically."""
@@ -343,10 +352,10 @@ class HttpScorer(PerRequestSource):
         self._cap: int | None = None  # most sockets to open; see _post
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
-        try:
-            return self.cache.score(request)
-        except CacheMiss:
-            pass
+        key = _content_key(request)
+        cached = self.cache.lookup(key)
+        if cached is not None:
+            return cached
         payload = {"prefix": request.prefix, "continuation": request.continuation}
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
@@ -364,7 +373,7 @@ class HttpScorer(PerRequestSource):
             if status != 200:
                 raise MalformedResponse(f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}")
             response = _parse_score_payload(data)
-            self.cache.record(request, response)
+            self.cache.store(key, response)
             return response
         raise ServiceUnavailable(
             f"scoring service failed after {self.attempts} attempts: {last_error}"

@@ -367,9 +367,9 @@ def write_json(path, obj) -> None:
 
     A dataclass inside ``obj`` is written as its field dict.
     """
+    text = json.dumps(obj, default=vars, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, default=vars, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _numbered_lines(fh, path) -> Iterator[tuple[int, str]]:

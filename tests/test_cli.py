@@ -1542,6 +1542,40 @@ class TestShippedFixture:
         # after import, segment, analyze and simulate, then segment with --config
         assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
 
+    def test_only_analyze_loads_analysis_and_csv(self, fixtures_dir, tmp_path):
+        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
+        scored = tmp_path / "scored"
+        argv = ["score", "--config", str(config), "--input", str(batch), "--out", str(scored)]
+        assert main(argv) == 0
+        file_cfg = tmp_path / "file.yaml"
+        cache = str(scored / "cache.jsonl")
+        file_cfg.write_text(yaml.safe_dump({"input": str(batch), "scorer": {"cache_path": cache}}))
+        run = tmp_path / "run"
+        commands = [
+            ["reward", "--config", str(config), "--input", str(batch), "--out", str(run)],
+            ["reward", "--config", str(file_cfg), "--scorer", "file", "--out", str(tmp_path / "f")],
+            # analyze does need them, so the guard is not vacuous
+            [
+                "analyze", "--rewards", str(run / "rewards.jsonl"), "--matrices",
+                str(run / "matrices.jsonl"), "--input", str(batch), "--out", str(tmp_path / "a"),
+            ],
+        ]
+        code = (
+            "import json, sys\n"
+            "from trajreward import cli\n"
+            "names = ['trajreward.analysis', 'csv']\n"
+            "seen = [[name in sys.modules for name in names]]\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen.append([name in sys.modules for name in names])\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # after import, toy-scorer reward, file-scorer reward, then analyze
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == [[False, False], [False, False], [False, False], [True, True]]
+
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
         reason="counts threads in /proc/self/task; OpenBLAS starts no worker on one CPU",

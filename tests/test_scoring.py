@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from planted import toy_config
 
+from trajreward import scoring
 from trajreward.errors import CacheMiss, MalformedResponse, ServiceUnavailable
 from trajreward.scoring import (
     BOS,
@@ -490,6 +491,29 @@ class TestHttpScorer:
         assert first.token_logprobs == (-0.5, -1.5)
         assert second == first
         assert handler.calls == 1  # second hit came from the cache
+
+    def test_a_miss_computes_its_content_key_once(self, http_server, monkeypatch, tmp_path):
+        url, handler = http_server([(200, {"token_logprobs": [-1.0]})])
+        content_key, calls = scoring._content_key, []
+
+        def counting(request):
+            calls.append(request)
+            return content_key(request)
+
+        monkeypatch.setattr(scoring, "_content_key", counting)
+        scorer = HttpScorer(base_url=url, backoff=0.0)
+        requests = [ScoreRequest("p", f"c{i}") for i in range(5)]
+        for req in requests:
+            assert scorer.score(req).token_logprobs == (-1.0,)
+        assert handler.calls == len(requests)
+        assert calls == requests
+        # the cache holds what recording each reply by its request holds
+        reference = FileCacheScorer()
+        for req in requests:
+            reference.record(req, ScoreResponse((-1.0,)))
+        scorer.cache.dump(tmp_path / "scorer.jsonl")
+        reference.dump(tmp_path / "reference.jsonl")
+        assert (tmp_path / "scorer.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
     def test_retry_then_success(self, http_server):
         url, handler = http_server(

@@ -6,10 +6,12 @@ called once per integration step, and the reward stages called through
 ``cli`` and ``distance`` once per prompt batch or trajectory."""
 
 import ast
+import gc
 import importlib
 import inspect
 import json
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -57,12 +59,18 @@ def count_calls(monkeypatch, module, name, calls: Counter, check=None):
     monkeypatch.setattr(module, name, counting)
 
 
-def test_reward_stages_run_once_per_batch_or_trajectory(monkeypatch, tmp_path, fixtures_dir):
+def two_prompt_batches(tmp_path, fixtures_dir) -> tuple[list, Path]:
+    """The shipped fixture's records, and a file holding them twice under two prompt ids."""
     lines = (fixtures_dir / "planted_batch.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     second = [dict(rec, prompt_id="p1", traj_id=f"{rec['traj_id']}b") for rec in records]
     batch_file = tmp_path / "two_prompts.jsonl"
     batch_file.write_text("".join(json.dumps(rec) + "\n" for rec in records + second))
+    return records, batch_file
+
+
+def test_reward_stages_run_once_per_batch_or_trajectory(monkeypatch, tmp_path, fixtures_dir):
+    records, batch_file = two_prompt_batches(tmp_path, fixtures_dir)
 
     def planned_list(requests, source, parallelism):
         # the tracer counts a batch's requests only in a list or tuple, never an iterator
@@ -82,6 +90,27 @@ def test_reward_stages_run_once_per_batch_or_trajectory(monkeypatch, tmp_path, f
         "curiosity_reward": 2 * len(records),
     }
 
+
+
+def test_a_batch_scores_are_freed_before_the_next_is_planned(monkeypatch, tmp_path, fixtures_dir):
+    _, batch_file = two_prompt_batches(tmp_path, fixtures_dir)
+    plan = cli.score_plan
+    first_response, freed = [], []
+
+    def tracking(*args, **kwargs):
+        if first_response:
+            gc.collect()
+            freed.append(first_response[0]() is None)
+        scores = plan(*args, **kwargs)
+        if not first_response:
+            first_response.append(weakref.ref(next(iter(scores.values()))))
+        return scores
+
+    monkeypatch.setattr(cli, "score_plan", tracking)
+    config = fixtures_dir / "planted_config.yaml"
+    argv = ["reward", "--config", str(config), "--input", str(batch_file), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert freed == [True]  # checked once, when the second batch is planned
 
 def test_flow_step_runs_once_per_step(monkeypatch):
     calls = 0

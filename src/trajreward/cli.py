@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # numpy, imported later by the toy scorer and some simulate presets, never
-    # calls BLAS here, yet OpenBLAS would start a worker thread that spins idle
+    # numpy, imported later by some simulate presets, never calls BLAS
+    # here, yet OpenBLAS would start a worker thread that spins idle
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     flags = {name: getattr(args, dest, None) for dest, name in FLAG_FIELDS.items()}
@@ -316,7 +316,8 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     if rewards_path:
         fields = {name: REWARD_KINDS[name] for name in ("traj_id", "con", "vol", "r_cur")}
-        records = list(read_jsonl(rewards_path, fields, _labelled_features, REWARD_KINDS))
+        ids = {"traj_id": True}
+        records = list(read_jsonl(rewards_path, fields, _labelled_features, REWARD_KINDS, ids))
         if not records:
             raise ValueError(f"no reward records in {rewards_path}")
         features, labels = zip(*records)

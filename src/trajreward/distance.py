@@ -187,9 +187,11 @@ def write_matrices(matrices, path) -> None:
 
 
 def read_matrices(path) -> list[DistanceMatrix]:
-    """Matrices exported by ``write_matrices``; a malformed line is an InputError."""
+    """Matrices exported by ``write_matrices``; a malformed line, or a
+    repeated ``traj_id``, is an InputError."""
     fields = {"traj_id": str, "rows": list[list[float]], "answer_order": list[str]}
-    return list(read_jsonl(path, fields, _matrix_record, dict.fromkeys(["T", "K", "correct"])))
+    optional = dict.fromkeys(["T", "K", "correct"])
+    return list(read_jsonl(path, fields, _matrix_record, optional, ids={"traj_id": True}))
 
 
 def _matrix_record(rec: dict) -> DistanceMatrix:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import select
 import threading
 import time
@@ -87,10 +88,12 @@ def _stable_digest(*parts: str) -> int:
 class ToyModel:
     """Seeded n-gram softmax language model over a small symbol vocabulary.
 
-    Each context of ``order - 1`` tokens owns a logit vector, lazily
-    initialized as log of a Dirichlet(1) draw seeded by (seed, context),
-    so scoring is deterministic across runs and processes. Logits can be
-    boosted per (context, token) to plant likelihood structure.
+    One Dirichlet(1) base vector ``w`` (normalized ``-log(1 - u)`` draws from
+    ``random.Random(seed)``; uniform under ``init: uniform``) serves every
+    context of ``order - 1`` tokens, read through that context's permutation
+    ``i -> (a*i + b) mod V`` keyed by a digest of (seed, context). Logits can
+    be boosted per (context, token) to plant likelihood structure, so
+    ``log p(i) = log w[pi(i)] + delta_i - log Z``.
     """
 
     def __init__(self, vocabulary, order: int = 2, seed: int = 0, init: str = "dirichlet"):
@@ -101,7 +104,15 @@ class ToyModel:
         self.init = init
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)}
         self._boosts: dict[tuple[str, ...], dict[int, float]] = {}
-        self._log_probs: dict = {}  # context -> numpy log-softmax table
+        size = len(self.vocabulary)
+        rng = random.Random(seed)
+        draws = [1.0 if init == "uniform" else -math.log(1.0 - rng.random()) for _ in range(size)]
+        total = math.fsum(draws)
+        self._weights = [x / total for x in draws]
+        self._multipliers = [a for a in range(1, size + 1) if math.gcd(a, size) == 1]
+        # context -> (a, b, log Z); each value is a pure function of its
+        # context, so threads that fill it at once write the same value
+        self._contexts: dict[tuple[str, ...], tuple[int, int, float]] = {}
 
     @staticmethod
     def tokenize(text: str) -> list[str]:
@@ -126,49 +137,34 @@ class ToyModel:
         deltas = self._boosts.setdefault(ctx, {})
         tok_idx = self.token_index(token)
         deltas[tok_idx] = deltas.get(tok_idx, 0.0) + delta
-        self._log_probs.pop(ctx, None)
+        self._contexts.pop(ctx, None)
 
-    def logits(self, context: tuple[str, ...]):
-        import numpy as np  # loaded here, so the file and http scorers never import it
-
-        size = len(self.vocabulary)
-        if self.init == "uniform":
-            table = np.zeros(size)
-        else:
-            rng = np.random.default_rng(_stable_digest(str(self.seed), *context))
-            table = np.log(rng.dirichlet(np.ones(size)))
-        for tok_idx, delta in self._boosts.get(context, {}).items():
-            table[tok_idx] += delta
-        return table
-
-    def log_probs(self, context: tuple[str, ...], store: dict | None = None):
-        """Log-softmax of the context's logits.
-
-        A table is kept in ``store`` when one is given, else in the model's
-        cache until the context's next boost; a cached table is used either way.
-        """
-        table = self._log_probs.get(context)
-        if table is None:
-            store = self._log_probs if store is None else store
-            table = store.get(context)
-            if table is None:
-                import numpy as np
-
-                logits = self.logits(context)
-                shifted = logits - logits.max()
-                table = store[context] = shifted - np.log(np.exp(shifted).sum())
-        return table
+    def _context(self, context: tuple[str, ...]) -> tuple[int, int, float]:
+        """The context's permutation ``(a, b)`` and its log-normalizer."""
+        entry = self._contexts.get(context)
+        if entry is None:
+            size, units = len(self.vocabulary), len(self._multipliers)
+            digest = _stable_digest(str(self.seed), *context)
+            a, b = self._multipliers[digest % units], digest // units % size
+            deltas, weights = self._boosts.get(context, {}), self._weights
+            log_z = 0.0
+            if deltas:
+                boosted = [(a * i + b) % size for i in deltas]
+                terms = [math.log(weights[j]) + d for j, d in zip(boosted, deltas.values())]
+                rest = 1.0 - math.fsum(weights[j] for j in boosted)
+                if rest < 0.5:  # 1 minus a sum near 1 cancels, even when nothing is left
+                    rest = math.fsum(weights[j] for j in set(range(size)).difference(boosted))
+                if rest > 0.0:
+                    terms.append(math.log(rest))
+                top = max(terms)
+                log_z = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+            entry = self._contexts[context] = (a, b, log_z)
+        return entry
 
     def score_prefix(self, prefix: str, continuations: list[str]) -> Iterator[ScoreResponse]:
-        """Score each continuation after one tokenized prefix.
-
-        The tables of contexts that reach into the prefix (those of each
-        continuation's first ``order - 1`` tokens) serve this call only;
-        contexts inside a continuation stay cached.
-        """
-        n = self.order - 1
+        """Score each continuation after one tokenized prefix."""
+        n, size, weights = self.order - 1, len(self.vocabulary), self._weights
         head = list(self.context_of(self.tokenize(prefix)))
-        prefix_tables: dict = {}
         for continuation in continuations:
             cont = self.tokenize(continuation)
             if not cont:
@@ -176,8 +172,11 @@ class ToyModel:
             tokens = head + cont
             out = []
             for j, tok in enumerate(cont):
-                table = self.log_probs(tuple(tokens[j : j + n]), prefix_tables if j < n else None)
-                out.append(min(float(table[self.token_index(tok)]), 0.0))
+                context = tuple(tokens[j : j + n])
+                a, b, log_z = self._context(context)
+                i = self.token_index(tok)
+                delta = self._boosts.get(context, {}).get(i, 0.0)
+                out.append(min(math.log(weights[(a * i + b) % size]) + delta - log_z, 0.0))
             yield ScoreResponse(tuple(out))
 
     def score(self, request: ScoreRequest) -> ScoreResponse:

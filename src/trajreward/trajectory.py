@@ -326,7 +326,8 @@ def correct_label(record: dict) -> bool | None:
 
 
 def read_jsonl(
-    path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict, optional=None
+    path, fields: Mapping[str, Any], build: Callable[[dict], Any] = dict, optional=None,
+    ids: Mapping[str, bool] | None = None,
 ) -> Iterator:
     """Yield ``build(record)`` for each record of a line-delimited JSON file.
 
@@ -334,8 +335,12 @@ def read_jsonl(
     ``optional`` is given, no key outside ``fields`` and ``optional`` (see
     ``check_fields``). A line that is not, holds a byte that is not UTF-8,
     or on which ``build`` raises a ValueError, is an InputError naming the
-    file and line.
+    file and line. An id field named in ``ids`` is compared as text: ``1``
+    and ``"1"`` are one id, which may not appear as both; where ``ids``
+    maps the field to True, each id names one record. Breaking either rule
+    is an InputError naming both lines.
     """
+    seen: dict[tuple[str, str], tuple[str, Any]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in _numbered_lines(fh, path):
             if not line.strip():
@@ -352,6 +357,13 @@ def read_jsonl(
                 item = build(rec)
             except ValueError as exc:
                 raise InputError(f"{where}: {exc}") from exc
+            for name, once in (ids or {}).items():
+                value = rec[name]
+                first, old = seen.setdefault((name, str(value)), (where, value))
+                if type(old) is not type(value):
+                    raise InputError(f"{where}: {name} {value!r} is also given as {old!r} at {first}")
+                if once and first != where:
+                    raise InputError(f"{where}: {name} {value!r} repeats the record at {first}")
             yield item
 
 
@@ -400,14 +412,19 @@ def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
 
     Records need string or integer {prompt_id, traj_id}, string
     {prompt_text, response_text} and may carry an optional ``correct``
-    label (see ``correct_label``). A bad record, or a response that
-    cannot be segmented, is an InputError naming the file and line.
+    label (see ``correct_label``). A bad record, a response that cannot
+    be segmented, or a prompt text other than its ``prompt_id``'s first
+    one, is an InputError naming the file and line; so is a repeated
+    ``traj_id``, or an id given both as a number and as a string (see
+    ``read_jsonl``).
     """
-    ids = str | int
-    fields = {"prompt_id": ids, "traj_id": ids, "prompt_text": str, "response_text": str}
+    id_kind = str | int
+    fields = {"prompt_id": id_kind, "traj_id": id_kind, "prompt_text": str, "response_text": str}
+
+    texts: dict[str, str] = {}
 
     def build(rec: dict) -> Trajectory:
-        return segment_trajectory(
+        traj = segment_trajectory(
             rec["response_text"],
             rules,
             prompt_id=str(rec["prompt_id"]),
@@ -415,11 +432,12 @@ def load_prompt_batches(path, rules: SegmentationRules) -> list[PromptBatch]:
             prompt_text=rec["prompt_text"],
             correct=correct_label(rec),
         )
+        if texts.setdefault(traj.prompt_id, traj.prompt_text) != traj.prompt_text:
+            raise ValueError(f"prompt_id {traj.prompt_id!r} maps to two different prompt texts")
+        return traj
 
     batches: dict[str, PromptBatch] = {}
-    for traj in read_jsonl(path, fields, build):
+    for traj in read_jsonl(path, fields, build, ids={"prompt_id": False, "traj_id": True}):
         batch = batches.setdefault(traj.prompt_id, PromptBatch(traj.prompt_id, traj.prompt_text))
-        if batch.prompt_text != traj.prompt_text:
-            raise ValueError(f"prompt_id {traj.prompt_id!r} maps to two different prompt texts")
         batch.trajectories.append(traj)
     return list(batches.values())

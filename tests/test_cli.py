@@ -724,6 +724,84 @@ class TestArbitraryJsonlLines:
         self.run(["reward", "--config", cfg, "--input", good, "--out", str(workdir / "o")])
 
 
+class TestRepeatedIds:
+    """A ``traj_id`` names one record of a file, and an id is either a number
+    or a string: breaking either rule is exit 2, with one line on stderr
+    naming both lines."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("repeated_ids")
+
+    @staticmethod
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @staticmethod
+    def write(path, records):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+
+    def assert_names_lines(self, argv, path, first, second):
+        code, err = self.run(argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"{path}:{first}:" not in err and f"{path}:{second}: " in err
+        assert err.rstrip().endswith(f" at {path}:{first}")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["segment", "reward"]),
+        ids=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+        numbers=st.lists(st.booleans(), min_size=4, max_size=4),
+        case=st.sampled_from(["same prompt", "other prompt", "number against string"]),
+        data=st.data(),
+    )
+    def test_a_repeated_traj_id_is_exit_2(self, workdir, command, ids, numbers, case, data):
+        records = [
+            {**GOOD_TRAJECTORY, "traj_id": i if number else str(i)}
+            for i, number in zip(ids, numbers)
+        ]
+        original = data.draw(st.integers(0, len(records) - 1))
+        repeat = dict(records[original])
+        if case == "other prompt":
+            repeat.update(prompt_id="other", prompt_text="another question")
+        elif case == "number against string":
+            tid = repeat["traj_id"]
+            repeat["traj_id"] = str(tid) if isinstance(tid, int) else int(tid)
+        at = data.draw(st.integers(0, len(records)))
+        records.insert(at, repeat)
+        first, second = sorted([at, original + (at <= original)])
+        path = workdir / "in.jsonl"
+        self.write(path, records)
+        argv = [command, "--input", str(path), "--out", str(workdir / "o")]
+        self.assert_names_lines(argv, path, first + 1, second + 1)
+
+    def test_a_prompt_id_given_as_number_and_string_is_exit_2(self, workdir):
+        path = workdir / "prompts.jsonl"
+        records = [{**GOOD_TRAJECTORY, "prompt_id": 1}, {**GOOD_TRAJECTORY, "traj_id": "t1"}]
+        records[1]["prompt_id"] = "1"
+        self.write(path, records)
+        self.assert_names_lines(["segment", "--input", str(path), "--out", str(workdir / "o")], path, 1, 2)
+
+    def test_a_prompt_id_with_a_second_prompt_text_names_its_line(self, workdir):
+        path = workdir / "texts.jsonl"
+        records = [GOOD_TRAJECTORY, {**GOOD_TRAJECTORY, "traj_id": "t1", "prompt_text": "r"}]
+        self.write(path, records)
+        code, err = self.run(["segment", "--input", str(path), "--out", str(workdir / "o")])
+        assert code == 2
+        assert err == f"error: {path}:2: prompt_id 'p' maps to two different prompt texts\n"
+
+    @pytest.mark.parametrize("kind, flag", [("rewards", "--rewards"), ("matrices", "--matrices")])
+    def test_analyze_rejects_a_repeated_traj_id(self, workdir, kind, flag):
+        line = GOOD_LINES[kind]
+        path = workdir / f"{kind}.jsonl"
+        self.write(path, [line, {**line, "traj_id": "t1"}, line])
+        self.assert_names_lines(["analyze", flag, str(path), "--out", str(workdir / "a")], path, 1, 3)
+
+
 NOT_NUMBERS = JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
 
 
@@ -1003,7 +1081,8 @@ def test_more_workers_than_the_service_takes_connections(planted_setup):
     records = read_lines(base / "batch.jsonl")
     cfg["input"] = str(base / "three_prompts.jsonl")
     write_jsonl(cfg["input"], [
-        dict(rec, prompt_id=f"p{i}", prompt_text=f"q{i}\n\n") for i in range(3) for rec in records
+        dict(rec, prompt_id=f"p{i}", traj_id=f"{rec['traj_id']}.{i}", prompt_text=f"q{i}\n\n")
+        for i in range(3) for rec in records
     ])
     elapsed = {}
     try:
@@ -1484,20 +1563,20 @@ class TestShippedFixture:
         config = fixtures_dir / "planted_config.yaml"
         batch = fixtures_dir / "planted_batch.jsonl"
         scored = tmp_path / "scored"
-        argv = ["score", "--config", str(config), "--input", str(batch), "--out", str(scored)]
-        assert main(argv) == 0
         file_cfg = tmp_path / "file.yaml"
         cache = str(scored / "cache.jsonl")
         file_cfg.write_text(yaml.safe_dump({"input": str(batch), "scorer": {"cache_path": cache}}))
         run, analysis = tmp_path / "run", tmp_path / "analysis"
         commands = [
+            ["score", "--config", str(config), "--input", str(batch), "--out", str(scored)],
             ["reward", "--config", str(file_cfg), "--scorer", "file", "--out", str(run)],
             [
                 "analyze", "--rewards", str(run / "rewards.jsonl"), "--matrices",
                 str(run / "matrices.jsonl"), "--input", str(batch), "--out", str(analysis),
             ],
-            # the toy scorer's Dirichlet draws do need numpy, so the check is not vacuous
             ["reward", "--config", str(config), "--input", str(batch), "--out", str(run) + "-toy"],
+            # the ELBO check's seeded draws do need numpy, so the check is not vacuous
+            ["simulate", "--preset", "elbo", "--out", str(tmp_path / "elbo")],
         ]
         code = (
             "import json, sys\n"
@@ -1510,8 +1589,9 @@ class TestShippedFixture:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # after import, file-scorer reward, analyze, then toy-scorer reward
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+        # after import, toy-scorer score, file-scorer reward, analyze, toy-scorer
+        # reward, then the elbo preset
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, False, True]
         assert (analysis / "curves.csv").exists() and (analysis / "diversity.csv").exists()
 
     def test_only_a_config_file_loads_yaml(self, fixtures_dir, tmp_path):
@@ -1581,15 +1661,13 @@ class TestShippedFixture:
         reason="counts threads in /proc/self/task; OpenBLAS starts no worker on one CPU",
     )
     @pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
-    def test_reward_starts_no_idle_blas_thread(self, fixtures_dir, tmp_path, caller, threads):
-        config, batch = fixtures_dir / "planted_config.yaml", fixtures_dir / "planted_batch.jsonl"
-        argv = ["reward", "--config", str(config), "--input", str(batch), "--workers", "1",
-                "--out", str(tmp_path / "run")]
+    def test_numpy_starts_no_idle_blas_thread(self, tmp_path, caller, threads):
+        argv = ["simulate", "--preset", "elbo", "--out", str(tmp_path / "elbo")]
         code = (
             "import json, os, sys\n"
             "from trajreward import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "assert 'numpy' in sys.modules  # the toy scorer loads it\n"
+            "assert 'numpy' in sys.modules  # the elbo preset loads it\n"
             "threads = len(os.listdir('/proc/self/task'))\n"
             "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], threads]))\n"
         )

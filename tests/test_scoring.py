@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import random
 import re
 import socket
 import sys
@@ -8,8 +9,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from planted import toy_config
 
 from trajreward import scoring
@@ -30,8 +31,9 @@ VOCAB = ["a", "b", "c", "d"]
 
 
 class BoostScanReference:
-    """The toy model without its context index: one flat boost map, scanned
-    in full for every context, and nothing cached."""
+    """The toy model written out in full: one flat boost map, scanned in full
+    for every context, the base weights and the permutation drawn again for
+    every table, and nothing cached."""
 
     def __init__(self, model: ToyModel):
         self.model = model
@@ -41,17 +43,48 @@ class BoostScanReference:
         key = (self.model.context_of(list(context_tokens)), self.model.token_index(token))
         self.boosts[key] = self.boosts.get(key, 0.0) + delta
 
-    def log_probs(self, context):
+    def weights(self):
+        """The Dirichlet(1) base vector: normalized Exp(1) draws, or uniform."""
+        size = len(self.model.vocabulary)
         if self.model.init == "uniform":
-            table = np.zeros(len(VOCAB))
+            draws = [1.0] * size
         else:
-            seed = _stable_digest(str(self.model.seed), *context)
-            table = np.log(np.random.default_rng(seed).dirichlet(np.ones(len(VOCAB))))
-        for (ctx, tok_idx), delta in self.boosts.items():
-            if ctx == context:
-                table[tok_idx] += delta
-        shifted = table - table.max()
-        return shifted - np.log(np.exp(shifted).sum())
+            rng = random.Random(self.model.seed)
+            draws = [-math.log(1.0 - rng.random()) for _ in range(size)]
+        total = math.fsum(draws)
+        return [x / total for x in draws]
+
+    def permutation(self, context):
+        """``i -> (a*i + b) mod V``, with ``a`` the digest's pick among the units mod V."""
+        size = len(self.model.vocabulary)
+        units = [a for a in range(1, size + 1) if math.gcd(a, size) == 1]
+        digest = _stable_digest(str(self.model.seed), *context)
+        a, b = units[digest % len(units)], digest // len(units) % size
+        return [(a * i + b) % size for i in range(size)]
+
+    def deltas(self, context):
+        return {tok_idx: delta for (ctx, tok_idx), delta in self.boosts.items() if ctx == context}
+
+    def logits(self, context):
+        weights, pi, deltas = self.weights(), self.permutation(context), self.deltas(context)
+        return [math.log(weights[pi[i]]) + deltas.get(i, 0.0) for i in range(len(pi))]
+
+    def log_probs(self, context):
+        """``logits - log Z``, with ``log Z`` a log-sum-exp over the boosted
+        logits and the unboosted mass (0 in a context without boosts)."""
+        weights, pi, deltas = self.weights(), self.permutation(context), self.deltas(context)
+        logits = self.logits(context)
+        log_z = 0.0
+        if deltas:
+            terms = [logits[i] for i in deltas]
+            rest = 1.0 - math.fsum(weights[pi[i]] for i in deltas)
+            if rest < 0.5:
+                rest = math.fsum(weights[pi[i]] for i in range(len(pi)) if i not in deltas)
+            if rest > 0.0:
+                terms.append(math.log(rest))
+            top = max(terms)
+            log_z = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return [logit - log_z for logit in logits]
 
     def score(self, request):
         history = request.prefix.split()
@@ -69,6 +102,12 @@ class BoostScanReference:
         ]
 
 
+def full_vocabulary_log_probs(model: ToyModel, context_tokens) -> list[float]:
+    """The model's log-probability of every vocabulary token after ``context_tokens``."""
+    responses = model.score_prefix(" ".join(context_tokens), list(model.vocabulary))
+    return [response.token_logprobs[0] for response in responses]
+
+
 class TestToyModel:
     def test_certainty_context_gives_zero_logprobs(self):
         model = ToyModel(VOCAB, order=2, seed=1)
@@ -83,23 +122,31 @@ class TestToyModel:
         for lp in resp.token_logprobs:
             assert lp == pytest.approx(math.log(0.25), abs=1e-15)
 
-    def test_scores_match_direct_softmax_of_stored_logits(self):
+    def test_scores_match_direct_softmax_of_reference_logits(self):
         model = ToyModel(VOCAB, order=2, seed=42)
+        model.boost(["b"], "c", 3.0)
+        model.boost(["c"], "a", -2.0)
+        reference = BoostScanReference(model)
+        reference.boost(["b"], "c", 3.0)
+        reference.boost(["c"], "a", -2.0)
         req = ScoreRequest("a b", "c a d b")
         resp = model.score(req)
         history = ["a", "b"]
         for tok, lp in zip(["c", "a", "d", "b"], resp.token_logprobs):
             ctx = (history[-1],)
-            logits = model.logits(ctx)
-            probs = np.exp(logits - logits.max())
-            expected = math.log(probs[VOCAB.index(tok)] / probs.sum())
+            logits = reference.logits(ctx)
+            probs = [math.exp(x - max(logits)) for x in logits]
+            expected = math.log(probs[VOCAB.index(tok)] / sum(probs))
             assert lp == pytest.approx(expected, abs=1e-12)
             history.append(tok)
 
     def test_full_vocabulary_mass_sums_to_one(self):
         model = ToyModel(VOCAB, order=2, seed=3)
+        model.boost(["d"], "a", 1000.0)
+        model.boost(["d"], "b", -1000.0)
+        model.boost(["zzz"], "c", 2.0)
         for ctx in [(BOS,), ("a",), ("d",), ("zzz",)]:
-            total = float(np.exp(model.log_probs(ctx)).sum())
+            total = math.fsum(math.exp(lp) for lp in full_vocabulary_log_probs(model, ctx))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_across_instances(self):
@@ -141,7 +188,7 @@ class TestToyModel:
         boost(["d", "a"], "oov-token", 0.7)
         assert [model.score(r) for r in requests] == [reference.score(r) for r in requests]
 
-        boost(["a"], "c", 1.5)  # after scoring: the context's cached table must go
+        boost(["a"], "c", 1.5)  # after scoring: the context's cached normalizer must go
         boost(["b"], "b", 3.0)
         assert [model.score(r) for r in requests] == [reference.score(r) for r in requests]
 
@@ -174,15 +221,52 @@ class TestToyModel:
         for request, response in scores.items():
             expected = reference.score(request).token_logprobs
             assert [lp.hex() for lp in response.token_logprobs] == [lp.hex() for lp in expected]
-        # the tables of contexts that reach into a prefix were dropped after their call
-        n = order - 1
-        reaching, inside = set(), set()
-        for r in requests:
-            history, cont = r.prefix.split(), r.continuation.split()
-            reaching.update(model.context_of(history + cont[:j]) for j in range(min(n, len(cont))))
-            inside.update(model.context_of(cont[:j]) for j in range(n, len(cont)))
-        assert set(model._log_probs) <= inside
-        assert set(model._log_probs).isdisjoint(reaching - inside)
+        # a context keeps its permutation and normalizer, never a table over the vocabulary
+        assert model._contexts
+        assert all(len(entry) < len(VOCAB) for entry in model._contexts.values())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(1, 60),
+        order=st.integers(1, 3),
+        seed=st.integers(),
+        boosts=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 60), max_size=2),
+                st.integers(0, 60),
+                st.floats(-1000.0, 1000.0),
+            ),
+            max_size=12,
+        ),
+        planted=st.tuples(st.lists(st.integers(0, 60), max_size=2), st.integers(0, 59)),
+    )
+    @example(size=60, order=2, seed=0, boosts=[([0], 1, -1000.0), ([0], 2, 1000.0)], planted=([0], 1))
+    @example(size=59, order=3, seed=7, boosts=[([1, 2], 3, -1000.0)], planted=([], 58))
+    # every token boosted: 1 minus the boosted weights is 1 ulp, not 0, at this seed
+    @example(size=2, order=1, seed=2, boosts=[([], 0, -1000.0), ([], 1, -1000.0)], planted=([], 1))
+    def test_any_model_scores_a_distribution_per_context(self, size, order, seed, boosts, planted):
+        vocab = [f"t{k}" for k in range(size)]
+
+        def name(k):  # 60 stands for a token outside the vocabulary
+            return "oov" if k == 60 else vocab[k % size]
+
+        model = ToyModel(vocab, order=order, seed=seed)
+        contexts = [[], [name(60)]]
+        for context, token, delta in boosts:
+            contexts.append([name(k) for k in context])
+            model.boost(contexts[-1], name(token), delta)
+        for context in contexts:
+            log_probs = full_vocabulary_log_probs(model, context)
+            a, b, _ = model._contexts[model.context_of(context)]
+            assert sorted((a * i + b) % size for i in range(size)) == list(range(size))
+            assert all(math.isfinite(lp) and lp <= 0.0 for lp in log_probs)
+            assert math.fsum(math.exp(lp) for lp in log_probs) == pytest.approx(1.0, abs=1e-12)
+
+        context, top = [name(k) for k in planted[0]], planted[1] % size
+        fresh = ToyModel(vocab, order=order, seed=seed)
+        fresh.boost(context, vocab[top], 64.0)
+        log_probs = full_vocabulary_log_probs(fresh, context)
+        assert all(lp < log_probs[top] for i, lp in enumerate(log_probs) if i != top)
 
     def test_oov_tokens_score_deterministically(self):
         model = ToyModel(VOCAB, seed=0)

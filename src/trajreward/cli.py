@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 from math import isfinite
 from pathlib import Path
@@ -86,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # numpy, imported later by some simulate presets, never calls BLAS
-    # here, yet OpenBLAS would start a worker thread that spins idle
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     flags = {name: getattr(args, dest, None) for dest, name in FLAG_FIELDS.items()}
     overrides = {name: value for name, value in flags.items() if value is not None}

@@ -16,10 +16,10 @@ exact equality where the math promises it:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .draws import draw_index
 from .rewards import TrajectoryFeatures, linear_group_reward, vector_group_reward
 
 GRID = 1024
@@ -52,16 +52,19 @@ def probe_reward_perturbations(n_groups: int = 10_000, seed: int = 0) -> ProbeRe
     """Check the perturbation identities over ``n_groups`` random groups."""
     if n_groups < 1:
         raise ValueError(f"n_groups {n_groups} must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+
+    def grid(low: int, k: int) -> list[float]:
+        """k multiples of 1/GRID, drawn from [low, GRID] / GRID."""
+        return [(low + draw_index(rng, GRID + 1 - low)) / GRID for _ in range(k)]
+
     report = ProbeReport()
-    sizes = np.array([1, 2, 4, 8, 16])
+    sizes = (1, 2, 4, 8, 16)
     for _ in range(n_groups):
-        g = int(sizes[rng.integers(len(sizes))])
-        con = rng.integers(0, GRID + 1, g) / GRID
-        vol = rng.integers(0, GRID + 1, g) / GRID
-        i = int(rng.integers(g))
-        dc = int(rng.integers(1, GRID + 1)) / GRID
-        dv = int(rng.integers(1, GRID + 1)) / GRID
+        g = sizes[draw_index(rng, len(sizes))]
+        con, vol = grid(0, g), grid(0, g)
+        i = draw_index(rng, g)
+        dc, dv = grid(1, 2)
 
         base = _features(con, vol)
         r_lin = linear_group_reward(base)
@@ -89,10 +92,10 @@ def probe_reward_perturbations(n_groups: int = 10_000, seed: int = 0) -> ProbeRe
         # vector reward vs vol: needs the perturbed angle ordered above the
         # rest, a sizeable bump, and positive magnitudes on both sides
         if g >= 2:
-            con_pos = rng.integers(GRID // 16, GRID + 1, g) / GRID
-            vol_any = rng.integers(0, GRID + 1, g) / GRID
-            top = int(np.argmax(vol_any))
-            dv_big = int(rng.integers(GRID // 16, GRID + 1)) / GRID
+            con_pos = grid(GRID // 16, g)
+            vol_any = grid(0, g)
+            top = vol_any.index(max(vol_any))
+            (dv_big,) = grid(GRID // 16, 1)
             vol_bump = vol_any.copy()
             vol_bump[top] += dv_big
             d_vec_v = vector_group_reward(

@@ -23,6 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Protocol
 from urllib.parse import urlsplit
 
+from .draws import draw_dirichlet
 from .errors import CacheMiss, MalformedResponse, ServiceUnavailable
 from .trajectory import check_fields, read_jsonl
 
@@ -105,10 +106,8 @@ class ToyModel:
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)}
         self._boosts: dict[tuple[str, ...], dict[int, float]] = {}
         size = len(self.vocabulary)
-        rng = random.Random(seed)
-        draws = [1.0 if init == "uniform" else -math.log(1.0 - rng.random()) for _ in range(size)]
-        total = math.fsum(draws)
-        self._weights = [x / total for x in draws]
+        uniform = init == "uniform"
+        self._weights = [1.0 / size] * size if uniform else draw_dirichlet(random.Random(seed), size)
         self._multipliers = [a for a in range(1, size + 1) if math.gcd(a, size) == 1]
         # context -> (a, b, log Z); each value is a pure function of its
         # context, so threads that fill it at once write the same value

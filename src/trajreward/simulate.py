@@ -10,11 +10,13 @@ and write their results.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields
 from math import exp, inf, isfinite, log, nan
 from operator import mul
 from pathlib import Path
 
+from .draws import draw_dirichlet, draw_index, draw_vote
 from .errors import InstanceInvalid, NonConvergence
 from .trajectory import write_jsonl
 
@@ -39,7 +41,7 @@ def softmax(logits: list[float]) -> list[float]:
 class TabularPolicy:
     """Softmax distribution over a finite output set, one logit per output."""
 
-    logits: list[float]  # a list or an array; stored as a list of floats
+    logits: list[float]  # any sequence of numbers; stored as a list of floats
 
     def __post_init__(self):
         self.logits = _floats(self.logits)
@@ -241,16 +243,13 @@ def simulate_collapse(
         raise ValueError(f"target {target} must lie in (0, 1)")
     if mode == "sampled" and config.sample_count < 1:
         raise ValueError(f"sample_count {config.sample_count} must be >= 1 when sampled")
-    if mode == "sampled":  # only sampled votes need numpy's seeded generator
-        import numpy as np
-        rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
 
     def majority_reward(p):
         if mode == "exact":
             star = p.index(max(p))
         else:
-            draws = rng.choice(len(p), size=config.sample_count, p=p)
-            star = int(np.argmax(np.bincount(draws, minlength=len(p))))
+            star = draw_vote(rng, p, config.sample_count)
         rewards = [0.0] * len(p)
         rewards[star] = 1.0
         return rewards
@@ -286,7 +285,7 @@ class ConvergenceInstance:
     proxy elsewhere, so only the preferred outputs are over-rewarded.
     """
 
-    probs0: list[float]  # a list or an array; stored as a list of floats
+    probs0: list[float]  # any sequence of numbers; stored as a list of floats
     r_true: list[float]
     r_proxy: list[float]
     gamma: float
@@ -430,7 +429,7 @@ def simulate_convergence(instance: ConvergenceInstance, config: FlowConfig) -> C
 class LatentTabularModel:
     """Prior over latent states and per-state output conditionals."""
 
-    prior: list[float]  # S entries; lists or arrays are stored as lists of floats
+    prior: list[float]  # S entries; any sequence of numbers, stored as a list of floats
     conditional: list[list[float]]  # S x Y, rows sum to 1
 
     def __post_init__(self):
@@ -495,12 +494,12 @@ def verify_elbo(model: LatentTabularModel, q) -> ElboReport:
     return ElboReport(gaps=gaps)
 
 
-def random_latent_model(n_latent: int, n_outputs: int, rng) -> LatentTabularModel:
+def random_latent_model(n_latent: int, n_outputs: int, rng: random.Random) -> LatentTabularModel:
     for name, n in (("n_latent", n_latent), ("n_outputs", n_outputs)):
         if n < 1:
             raise ValueError(f"{name} {n} must be >= 1")
-    prior = rng.dirichlet([1.0] * n_latent)
-    conditional = rng.dirichlet([1.0] * n_outputs, size=n_latent)
+    prior = draw_dirichlet(rng, n_latent)
+    conditional = [draw_dirichlet(rng, n_outputs) for _ in range(n_latent)]
     return LatentTabularModel(prior, conditional)
 
 
@@ -575,8 +574,7 @@ def _convergence_preset(sim, flow: FlowConfig, out: Path):
 
 
 def _elbo_preset(sim, flow: FlowConfig, out: Path):
-    import numpy as np
-    model = random_latent_model(sim.n_latent, sim.n_outputs, np.random.default_rng(flow.seed))
+    model = random_latent_model(sim.n_latent, sim.n_outputs, random.Random(flow.seed))
     prior_report = verify_elbo(model, model.prior)
     posterior_report = verify_elbo(model, model.posterior())
     assertions = {
@@ -589,15 +587,14 @@ def _elbo_preset(sim, flow: FlowConfig, out: Path):
 
 
 def _growth_preset(sim, flow: FlowConfig, out: Path):
-    import numpy as np
-    rng = np.random.default_rng(flow.seed)
+    rng = random.Random(flow.seed)
     ok = True
     worst = 0.0
     for _ in range(5):
-        n = int(rng.integers(2, 6))
-        pi0 = rng.dirichlet(np.ones(n))
-        rewards = rng.random(n).tolist()
-        times, probs, _ = _run_flow(np.log(pi0 / pi0.sum()), flow, lambda p: rewards)
+        n = 2 + draw_index(rng, 4)
+        pi0 = draw_dirichlet(rng, n)
+        rewards = [rng.random() for _ in range(n)]
+        times, probs, _ = _run_flow([log(p) for p in pi0], flow, lambda p: rewards)
         p0 = probs[0]
         # t = 0 is left out: there the cap is p0 itself, so the ratio is always 1
         for t, p in zip(times[1:], probs[1:]):

@@ -6,6 +6,7 @@ runtime budgets are asserted alongside the numeric tolerances.
 
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -250,11 +251,11 @@ def test_criterion_6_convergence_bound():
 
 
 def test_criterion_7_elbo_bound():
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     worst_prior = 0.0
     worst_posterior = 0.0
     for _ in range(100):
-        model = random_latent_model(int(rng.integers(2, 5)), int(rng.integers(2, 6)), rng)
+        model = random_latent_model(rng.randrange(2, 5), rng.randrange(2, 6), rng)
         prior_report = verify_elbo(model, model.prior)
         posterior_report = verify_elbo(model, model.posterior())
         assert (np.array(prior_report.gaps) >= -1e-9).all()

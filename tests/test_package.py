@@ -5,7 +5,10 @@ call lives in ``tests/`` (``planted.py``, ``gradients.py``,
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trajreward"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trajreward"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -40,3 +43,25 @@ def test_every_module_level_definition_is_used_by_the_package():
         f"{file}: {name}" for file, name in defined if not users.get(name, set()) - {(file, name)}
     ]
     assert not unused, f"defined in the package but used only outside it: {unused}"
+
+
+def test_no_module_of_the_package_imports_numpy():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
+def test_pyyaml_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["pyyaml>=6.0"]
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])

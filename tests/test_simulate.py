@@ -1,3 +1,5 @@
+import math
+import random
 import subprocess
 import sys
 import warnings
@@ -8,6 +10,8 @@ import pytest
 from gradients import exact_policy_gradient, kl_gradient
 from test_acceptance import _random_convergence_instance
 
+from trajreward.config import SimulateConfig
+from trajreward.draws import draw_dirichlet, draw_index, draw_vote
 from trajreward.errors import InstanceInvalid, NonConvergence
 from trajreward.probes import probe_reward_perturbations
 from trajreward.simulate import (
@@ -20,6 +24,7 @@ from trajreward.simulate import (
     growth_bound_satisfied,
     preferred_mass_instance,
     random_latent_model,
+    run_preset,
     simulate_collapse,
     simulate_convergence,
     verify_elbo,
@@ -470,20 +475,20 @@ class TestElbo:
         assert report.tight
 
     def test_prior_bound_holds_on_random_model(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         model = random_latent_model(3, 4, rng)
         report = verify_elbo(model, model.prior)
         assert report.holds
         assert (np.array(report.gaps) >= -1e-9).all()
 
     def test_posterior_is_tight(self):
-        rng = np.random.default_rng(6)
+        rng = random.Random(6)
         model = random_latent_model(4, 3, rng)
         report = verify_elbo(model, model.posterior())
         assert report.tight
 
     def test_other_variational_distribution_is_loose(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         model = random_latent_model(3, 3, rng)
         q = np.array([0.98, 0.01, 0.01])
         report = verify_elbo(model, q)
@@ -525,9 +530,9 @@ def test_elbo_loops_match_numpy_reference():
     """On random models, with q the prior, the posterior or one random row
     per output: the same posterior, the same verdicts, and every gap within
     1e-15 of the numpy formulas (their sums run in another order)."""
-    rng = np.random.default_rng(2025)
+    rng, draws = np.random.default_rng(2025), random.Random(2025)
     for _ in range(300):
-        model = random_latent_model(int(rng.integers(1, 6)), int(rng.integers(1, 7)), rng)
+        model = random_latent_model(int(rng.integers(1, 6)), int(rng.integers(1, 7)), draws)
         prior, conditional = np.array(model.prior), np.array(model.conditional)
         posterior = numpy_posterior(prior, conditional)
         assert model.posterior() == posterior.tolist()
@@ -587,8 +592,8 @@ def convergence(**flow):
         (lambda: convergence(max_time=INF), "max_time"),
         (lambda: convergence(step_size=1e-2, max_time=1e-3), "max_time"),
         (lambda: probe_reward_perturbations(0), "n_groups"),
-        (lambda: random_latent_model(0, 3, np.random.default_rng(0)), "n_latent"),
-        (lambda: random_latent_model(3, 0, np.random.default_rng(0)), "n_outputs"),
+        (lambda: random_latent_model(0, 3, random.Random(0)), "n_latent"),
+        (lambda: random_latent_model(3, 0, random.Random(0)), "n_outputs"),
     ],
 )
 def test_library_rejects_bad_argument_by_name(call, name):
@@ -606,3 +611,46 @@ def test_simulator_does_not_import_the_scoring_stack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestDraws:
+    """The seeded draws read only random(): one value per index, entry or vote."""
+
+    def test_index_is_the_floor_of_u_times_n(self):
+        for n in (1, 2, 5, 1025):
+            rng, u = random.Random(n), random.Random(n)
+            assert [draw_index(rng, n) for _ in range(50)] == [
+                int(u.random() * n) for _ in range(50)
+            ]
+
+    def test_dirichlet_normalizes_exponential_draws(self):
+        rng, u = random.Random(3), random.Random(3)
+        w = draw_dirichlet(rng, 7)
+        draws = [-np.log1p(-u.random()) for _ in range(7)]
+        assert w == pytest.approx(np.array(draws) / sum(draws), rel=1e-15)
+        assert abs(sum(w) - 1.0) <= 1e-15 and all(x > 0 for x in w)
+        assert rng.random() == u.random()  # one random() per entry
+
+    def test_vote_matches_a_bincount_of_running_sum_draws(self):
+        # argmax(bincount) takes ties to the lowest index
+        data = np.random.default_rng(8)
+        for seed in range(300):
+            n, k = int(data.integers(1, 7)), int(data.integers(1, 9))
+            p = data.dirichlet(np.ones(n)) * data.choice([1.0, 1.0 / 3])  # sum 1 or not
+            if data.random() < 0.2 and n > 1:
+                p[data.integers(n)] = 0.0
+            p = p.tolist()
+            u = random.Random(seed)
+            running, total = np.cumsum(p), math.fsum(p)
+            first_above = (np.searchsorted(running, u.random() * total, "right") for _ in range(k))
+            draws = [min(i, n - 1) for i in first_above]
+            expected = int(np.argmax(np.bincount(draws, minlength=n)))
+            rng = random.Random(seed)
+            assert draw_vote(rng, p, k) == expected
+            assert rng.random() == u.random()  # one random() per draw
+
+
+@pytest.mark.parametrize("preset, seeds", [("elbo", range(200)), ("growth-bound", range(10))])
+def test_seeded_preset_verdicts_hold(tmp_path, preset, seeds):
+    sim = SimulateConfig(preset=preset)
+    assert [seed for seed in seeds if not run_preset(sim, seed, tmp_path)[0]] == []
